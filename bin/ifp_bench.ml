@@ -1,27 +1,24 @@
 (* Host-performance microbenchmark for the simulator hot path.
 
-   Times the fig10 workloads under the three execution engines — the
-   name-keyed reference interpreter (Vm_ref), the slot-resolved
-   interpreter (Vm) and the closure-compiled engine (Vm_closure) — on
-   the same VM configurations, and reports host wall-clock nanoseconds
-   per simulated instruction for each engine plus the generation-over-
-   generation speedups. While timing, it also cross-checks that all
-   engines agree on outcome, every counter, cache statistics and
-   program output — a run that diverges fails loudly rather than
-   producing a pretty but meaningless table.
+   Times the fig10 workloads under both execution engines — the
+   name-keyed reference interpreter (Vm_ref) and the closure-compiled
+   production engine (Vm.run) — on the same VM configurations, and
+   reports host wall-clock nanoseconds per simulated instruction for
+   each engine plus the reference -> closure speedup. While timing, it
+   also cross-checks that the engines agree on outcome, every counter,
+   cache statistics and program output — a run that diverges fails
+   loudly rather than producing a pretty but meaningless table.
 
    The aggregate is written to BENCH_vm.json. Unlike the experiment
    tables, this output is wall-clock and host-dependent by nature; the
    JSON is for trend tracking, not byte-diffing (CI only checks shape
-   and the engine-agreement bit). The historical columns are kept:
-   before/after still mean Vm_ref -> Vm, and the closure engine adds
-   its own column and speedup.
+   and the engine-agreement bit).
 
      ifp_bench [--quick] [--reps N] [--out PATH] [--engine E]...
                [--profile] [workload ...]
 
    --quick     three workloads, one rep: the CI smoke configuration.
-   --engine E  time only engine E (vm | vm-ref | closure); repeatable.
+   --engine E  time only engine E (vm-ref | closure); repeatable.
                Engine agreement is checked across whichever engines run.
    --profile   after timing, print the closure engine's per-opcode
                dispatch histogram (counts + cumulative ns share) for
@@ -30,8 +27,6 @@
 module W = Ifp_workloads.Workload
 module Registry = Ifp_workloads.Registry
 module Vm = Core.Vm
-module Vm_ref = Core.Vm_ref
-module Vm_closure = Core.Vm_closure
 module Engines = Core.Engines
 module Profile = Core.Profile
 module Counters = Core.Counters
@@ -42,7 +37,7 @@ type opts = {
   reps : int;
   out : string;
   only : string list;  (* empty = fig10 set *)
-  engines : Vm.engine list;  (* empty = all three *)
+  engines : Vm.engine list;  (* empty = Engines.all *)
   profile : bool;
 }
 
@@ -201,19 +196,21 @@ type row = {
   mismatches : string list;
 }
 
-let engine_runner = function
-  | Vm.Eng_vm -> fun config prog -> Vm.run ~config prog
-  | Vm.Eng_ref -> fun config prog -> Vm_ref.run ~config prog
-  | Vm.Eng_closure -> fun config prog -> Vm_closure.run ~config prog
-
 let ns_of r eng = List.assoc_opt eng r.ns
+
+(* reference -> closure host-time ratio, when both engines ran *)
+let speedup r =
+  match (ns_of r Vm.Eng_ref, ns_of r Vm.Eng_closure) with
+  | Some a, Some b -> Some (a /. b)
+  | _ -> None
 
 let bench_one ~reps ~engines (wl : W.t) (cname, config) =
   let prog = Lazy.force wl.prog in
   let runs =
     List.map
       (fun eng ->
-        let res, t = time_best ~reps (fun () -> (engine_runner eng) config prog) in
+        let config = { config with Vm.engine = eng } in
+        let res, t = time_best ~reps (fun () -> Engines.run ~config prog) in
         (eng, res, t))
       engines
   in
@@ -247,7 +244,7 @@ let ns_clock () = Unix.gettimeofday () *. 1e9
 let print_profile (wl : W.t) (cname, config) =
   let prog = Lazy.force wl.prog in
   let p = Profile.create ~clock:ns_clock in
-  ignore (Vm_closure.run ~config ~profile:p prog);
+  ignore (Vm.run ~config ~profile:p prog);
   let rows = Profile.report p in
   let total_ns = List.fold_left (fun acc (r : Profile.row) -> acc +. r.ns) 0.0 rows in
   Printf.printf "\n%s/%s dispatch profile (%.1f ms probe-attributed):\n"
@@ -264,10 +261,9 @@ let print_profile (wl : W.t) (cname, config) =
 
 (* ---- reporting ------------------------------------------------------- *)
 
-let json_of_rows rows geo_speedup geo_closure ok opts =
+let json_of_rows rows geo_speedup ok opts =
   let open Events in
   let fopt = function Some x -> Float x | None -> Null in
-  let ratio a b = match (a, b) with Some a, Some b -> Some (a /. b) | _ -> None in
   Obj
     [
       ("bench", String "ifp_bench");
@@ -280,23 +276,17 @@ let json_of_rows rows geo_speedup geo_closure ok opts =
         List
           (List.map
              (fun r ->
-               let ref_ns = ns_of r Vm.Eng_ref in
-               let vm_ns = ns_of r Vm.Eng_vm in
-               let cl_ns = ns_of r Vm.Eng_closure in
                Obj
                  [
                    ("workload", String r.wname);
                    ("config", String r.cname);
                    ("sim_instrs", Int r.sim_instrs);
-                   ("before_ns_per_instr", fopt ref_ns);
-                   ("after_ns_per_instr", fopt vm_ns);
-                   ("closure_ns_per_instr", fopt cl_ns);
-                   ("speedup", fopt (ratio ref_ns vm_ns));
-                   ("closure_speedup", fopt (ratio vm_ns cl_ns));
+                   ("ref_ns_per_instr", fopt (ns_of r Vm.Eng_ref));
+                   ("closure_ns_per_instr", fopt (ns_of r Vm.Eng_closure));
+                   ("speedup", fopt (speedup r));
                  ])
              rows) );
       ("geomean_speedup", fopt geo_speedup);
-      ("geomean_closure_speedup", fopt geo_closure);
     ]
 
 let () =
@@ -326,21 +316,10 @@ let () =
           configs)
       wls
   in
-  let geo_over f =
-    let ratios = List.filter_map f rows in
-    if ratios = [] then None else Some (Core.Stats.geomean ratios)
-  in
   let geo =
-    geo_over (fun r ->
-        match (ns_of r Vm.Eng_ref, ns_of r Vm.Eng_vm) with
-        | Some a, Some b -> Some (a /. b)
-        | _ -> None)
-  in
-  let geo_closure =
-    geo_over (fun r ->
-        match (ns_of r Vm.Eng_vm, ns_of r Vm.Eng_closure) with
-        | Some a, Some b -> Some (a /. b)
-        | _ -> None)
+    match List.filter_map speedup rows with
+    | [] -> None
+    | ratios -> Some (Core.Stats.geomean ratios)
   in
   let bad = List.filter (fun r -> r.mismatches <> []) rows in
   List.iter
@@ -350,19 +329,14 @@ let () =
     bad;
   (match geo with
   | Some g ->
-    Printf.printf "\ngeo-mean speedup (Vm_ref -> Vm): %.2fx over %d runs\n" g
-      (List.length rows)
-  | None -> ());
-  (match geo_closure with
-  | Some g ->
-    Printf.printf "geo-mean speedup (Vm -> closure): %.2fx over %d runs\n" g
-      (List.length rows)
+    Printf.printf "\ngeo-mean speedup (vm-ref -> closure): %.2fx over %d runs\n"
+      g (List.length rows)
   | None -> ());
   if opts.profile then
     List.iter
       (fun wl -> List.iter (print_profile wl) configs)
       wls;
   Events.write_json_file ~path:opts.out
-    (json_of_rows rows geo geo_closure (bad = []) opts);
+    (json_of_rows rows geo (bad = []) opts);
   Printf.printf "wrote %s\n" opts.out;
   if bad <> [] then exit 1

@@ -2,8 +2,9 @@
 
    Rounds of seeded, size-bounded generated MiniC programs are pushed
    through the campaign engine; each case's runner executes the full
-   oracle battery (three engines x three configs agreement,
-   baseline-vs-IFP behavioral equivalence, fault-classifier sanity).
+   oracle battery (closure-vs-reference engine agreement under three
+   configs, baseline-vs-IFP behavioral equivalence, fault-classifier
+   sanity).
    Divergent cases are greedily minimized into parser-image repros and
    written to the content-addressed corpus; the campaign stops after
    --dry consecutive rounds produce no new distinct counterexample, or

@@ -104,11 +104,12 @@ let engine_arg =
       ( engine_of_string,
         fun fmt e -> Format.pp_print_string fmt (Core.Engines.to_string e) )
   in
-  Arg.(value & opt engine_conv Core.Vm.Eng_vm
+  Arg.(value & opt engine_conv Core.Vm.default_config.engine
        & info [ "engine" ] ~docv:"ENGINE"
-           ~doc:"Execution engine: vm | vm-ref | closure (default vm). All \
-                 engines produce identical results; they differ only in \
-                 host speed.")
+           ~doc:
+             ("Execution engine: " ^ String.concat " | " Core.Engines.names
+            ^ ". All engines produce identical results; they differ only \
+               in host speed."))
 
 let verbose_arg =
   Arg.(value & flag & info [ "verbose"; "v" ] ~doc:"Print detailed counters.")

@@ -1,6 +1,5 @@
 module Vm = Ifp_vm.Vm
-module Vm_ref = Ifp_vm.Vm_ref
-module Vm_closure = Ifp_vm.Vm_closure
+module Engines = Ifp_vm.Engines
 module Counters = Ifp_vm.Counters
 module Trap = Ifp_isa.Trap
 module Fault = Ifp_faultinject.Fault
@@ -22,11 +21,11 @@ let configs =
   ]
 
 let engines =
-  [
-    ("vm", fun config prog -> Vm.run ~config prog);
-    ("vm-ref", fun config prog -> Vm_ref.run ~config prog);
-    ("closure", fun config prog -> Vm_closure.run ~config prog);
-  ]
+  List.map
+    (fun eng ->
+      ( Engines.to_string eng,
+        fun config prog -> Engines.run ~config:{ config with Vm.engine = eng } prog ))
+    Engines.all
 
 (* Heap_smash is out of the architectural detection contract; the
    temporal classes free live records, which a spatial-only
@@ -128,23 +127,28 @@ let observed (r : Vm.result) =
     output = r.Vm.output;
   }
 
+(* oracle A: every engine against the first of {!engines} (the
+   reference), under one configuration; returns the default engine's
+   result for the oracles that follow *)
+let engines_agree add cname cfg prog =
+  match List.map (fun (ename, erun) -> (ename, erun cfg prog)) engines with
+  | [] -> assert false
+  | (_, r_ref) :: rest as runs ->
+    let sig_ref = result_sig r_ref in
+    List.iter
+      (fun (ename, r) ->
+        let s = result_sig r in
+        if not (String.equal s sig_ref) then
+          add "engines" (cname ^ "/" ^ ename) (sig_diff sig_ref s))
+      rest;
+    List.assoc (Engines.to_string Vm.default_config.engine) runs
+
 let check ?(fault_seed = 1L) prog =
   let fails = ref [] in
   let add oracle site detail = fails := { oracle; site; detail } :: !fails in
-  (* oracle A: three-way engine agreement, per configuration *)
   let vm_results =
     List.map
-      (fun (cname, cfg) ->
-        let r_vm = Vm.run ~config:cfg prog in
-        let sig_vm = result_sig r_vm in
-        List.iter
-          (fun (ename, erun) ->
-            if ename <> "vm" then
-              let s = result_sig (erun cfg prog) in
-              if not (String.equal s sig_vm) then
-                add "engines" (cname ^ "/" ^ ename) (sig_diff sig_vm s))
-          engines;
-        (cname, cfg, r_vm))
+      (fun (cname, cfg) -> (cname, cfg, engines_agree add cname cfg prog))
       configs
   in
   let find name =
@@ -208,17 +212,9 @@ let check_temporal ?(fault_seed = 1L) ?(expect_fault = false) prog =
   let add oracle site detail = fails := { oracle; site; detail } :: !fails in
   List.iter
     (fun (cname, cfg) ->
-      let r0 = Vm.run ~config:cfg prog in
-      (* oracle A, temporal edition: the three engines must agree under
+      (* oracle A, temporal edition: the engines must agree under
          temporal configurations too *)
-      let sig0 = result_sig r0 in
-      List.iter
-        (fun (ename, erun) ->
-          if ename <> "vm" then
-            let s = result_sig (erun cfg prog) in
-            if not (String.equal s sig0) then
-              add "engines" (cname ^ "/" ^ ename) (sig_diff sig0 s))
-        engines;
+      let r0 = engines_agree add cname cfg prog in
       match (expect_fault, r0.Vm.outcome) with
       | true, Vm.Trapped (Trap.Use_after_free _ | Trap.Write_to_freed _ | Trap.Double_free _)
         ->

@@ -4,9 +4,8 @@
     the full battery and returns every disagreement found:
 
     - oracle [engines] — for each configuration of {!configs}, the
-      slot-resolved interpreter, the reference tree-walker and the
-      closure-compiled engine must produce bit-identical observable
-      signatures ({!result_sig}: outcome, every counter, IFP trace,
+      closure-compiled production engine must produce an observable
+      signature bit-identical to the reference tree-walker's ({!result_sig}: outcome, every counter, IFP trace,
       cache statistics, footprint, output);
     - oracle [equivalence] — on a well-defined program (baseline run
       finishes), every IFP configuration must finish with the same exit
@@ -38,6 +37,8 @@ val configs : (string * Ifp_vm.Vm.config) list
 val engines :
   (string * (Ifp_vm.Vm.config -> Ifp_compiler.Ir.program -> Ifp_vm.Vm.result))
   list
+(** One runner per {!Ifp_vm.Engines.all} entry, reference first, each
+    running {!Ifp_vm.Engines.run} with the config's engine overridden. *)
 
 val defended : Ifp_faultinject.Fault.fault_class list
 (** Every class except [Heap_smash] (data smashes are out of the
@@ -70,7 +71,7 @@ val check :
   ?fault_seed:int64 ->
   Ifp_compiler.Ir.program ->
   failure list * Ifp_vm.Vm.result
-(** Runs the battery: 3 configs x 3 engines agreement, baseline-vs-IFP
+(** Runs the battery: 3 configs x 2 engines agreement, baseline-vs-IFP
     equivalence, and one armed plan per defended class (plan seeds
     derived from [fault_seed], default 1). Also returns the nominal
     ifp-subheap result (the golden run) so campaign runners can reuse
@@ -83,8 +84,8 @@ val check_temporal :
   failure list
 (** The temporal battery, over {!temporal_configs}:
 
-    - oracle [engines] — the three engines must agree bit-identically
-      under temporal configurations too;
+    - oracle [engines] — the engines must agree bit-identically under
+      temporal configurations too;
     - with [expect_fault:true] (a program generated with
       {!Gen.knobs}[.temporal]): oracle [temporal] — the run must end in
       a temporal trap ([Use_after_free] / [Write_to_freed] /

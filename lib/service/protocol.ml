@@ -4,10 +4,11 @@ module Events = Ifp_campaign.Events
 
 let magic = "ifp-service"
 
-(* v2 added the Poisoned reply (worker-crash quarantine); the handshake
-   requires an exact version match, so v1 clients are refused with a
-   clear reason instead of mis-decoding the new constructor *)
-let version = 2
+(* v2 added the Poisoned reply (worker-crash quarantine); v3 renumbered
+   the [Vm.engine] constructors carried inside every [Job.t] config. The
+   handshake requires an exact version match, so older clients are
+   refused with a clear reason instead of mis-decoding a constructor *)
+let version = 3
 
 exception Protocol_error of string
 

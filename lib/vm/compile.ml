@@ -1,12 +1,12 @@
 (* The closure compiler: lowers {!Ifp_compiler.Resolve} output to trees
    of OCaml closures, one closure per node with successors pre-linked,
    so straight-line guest code runs with zero dispatch — every [match]
-   the interpreter performs per execution is performed here once per
-   program.
+   an interpreter would perform per execution is performed here once
+   per program. {!Vm.run} executes the result.
 
    Correctness contract: each compiled closure charges costs and bumps
-   counters in {e exactly} the order {!Vm}'s [eval]/[eval_i]/[exec]
-   arms do, so the engine stays bit-identical to [Vm] and [Vm_ref] on
+   counters in {e exactly} the order the reference interpreter
+   {!Vm_ref} does, so the engine stays bit-identical to [Vm_ref] on
    outcome, every counter, traces and output. Three kinds of static
    specialization are layered on top, none of which may change
    observable behaviour:
@@ -108,7 +108,8 @@ let stage_charge_ifp st k : unit -> unit =
     cc.ifp.(ix) <- cc.ifp.(ix) + 1;
     cc.cycles <- cc.cycles + cyc
 
-(* the closure-engine twin of Vm.call_run *)
+(* run a compiled callee body: restore sp, charge spills, clear bounds
+   on return from legacy code *)
 let run_body st (f : R.func) (body : ucode) callee_frame spills =
   let saved_sp = st.sp in
   let ret =
@@ -133,8 +134,8 @@ let run_body st (f : R.func) (body : ucode) callee_frame spills =
    poison-bit test of [Insn.load_store_poison_check], the range test of
    [Bounds.contains] — are open-coded copies: they run on every access
    and the cross-module calls are measurable without flambda. The
-   differential suite pins them against the interpreter, which still
-   goes through [lib/isa]. *)
+   differential suite pins them against [Vm_ref], which still goes
+   through [lib/isa]. *)
 
 let addr_mask = Tag.addr_mask (* 44-bit virtual address *)
 
@@ -485,7 +486,7 @@ let stage_store st bytes : int64 -> int64 -> unit =
    int64 arithmetic with no cross-module calls — [Bits.insert] costs two
    [Bits.mask] lookups per field write without flambda, and these run on
    every fused gep. The differential suite pins them against the
-   [lib/isa] originals the interpreter still uses. *)
+   [lib/isa] originals [Vm_ref] still uses. *)
 
 let high_bits_mask = Int64.lognot addr_mask (* tag bits 63..44, gen included *)
 let poison_clear = Int64.lognot (Int64.shift_left 3L 62)
@@ -591,8 +592,8 @@ let stage_store_raw st ~instr cls : value -> int64 =
 (* [never_ptr e] is true when [e] can never evaluate to a [VP]: integer
    and float producers. Used to kill the pointer-vs-pointer branch of
    comparisons at compile time, so both operands can run through the
-   unboxed integer compiler ([eval_i] is charge-identical to
-   [as_int]-of-[eval] by contract). Conservative: [Var], [Call],
+   unboxed integer compiler ([compile_expr_i] is charge-identical to
+   [as_int] of [compile_expr] by contract). Conservative: [Var], [Call],
    promote and pointer loads stay "maybe pointer". *)
 let never_ptr (e : R.expr) =
   match e with
@@ -810,10 +811,12 @@ let rec compile_expr c (e : R.expr) : vcode =
     pv c Profile.op_promote (fun fr -> eval_promote st (ce fr))
   | R.Bad msg -> pv c Profile.op_bad (fun _ -> abort msg)
 
-(* Unboxed integer compilation: the staged twin of [Vm.eval_i], used in
-   the same contexts (conditions, integer arithmetic, gep indexes,
-   malloc counts, integer stores) so charges and failure order stay
-   identical per context. *)
+(* Unboxed integer compilation, used in the integer contexts
+   (conditions, integer arithmetic, gep indexes, malloc counts, integer
+   stores): computes [as_int] of the generic path without materialising
+   the intermediate value, with identical charges and failure order —
+   including the right-to-left operand evaluation the generic [Binop]
+   application performs. *)
 and compile_expr_i c (e : R.expr) : icode =
   let st = c.env.st in
   match e with
@@ -1082,7 +1085,7 @@ and compile_cond c (e : R.expr) : frame -> bool =
 (* Fused gep address computation: compiles the hot single-step shapes to
    a closure returning the result pointer word (and writing its bounds
    register to [env.gb]) without boxing a value — replicating
-   [Vm.eval_gep]+[Rt.gep_finish] charge-for-charge. [None] when the
+   the generic gep path + [Rt.gep_finish] charge-for-charge. [None] when the
    shape is not fusable or a fault injector is armed. *)
 and compile_gep_addr c gbase steps idx_delta : (frame -> int64) option =
   let st = c.env.st in
@@ -1351,7 +1354,7 @@ and compile_load_generic c cls bytes addr : vcode =
           | VP (w, _) | VI w -> tail (Int64.logand w addr_mask)
           | VF _ -> abort "float used as pointer")
 
-(* the [eval_i] integer-load context: same fusion, unboxed result *)
+(* the integer-load context: same fusion, unboxed result *)
 and compile_load_int c bytes addr : icode =
   let st = c.env.st in
   let env = c.env in
@@ -1701,7 +1704,7 @@ and compile_stmt c (s : R.stmt) (next : ucode) : ucode =
     let sraw = stage_store_raw st ~instr:c.instr cls in
     pu c Profile.op_store_global (fun fr ->
         let v = ce fr in
-        (* reference order ([Vm.exec]): charge first, then demote *)
+        (* reference order: charge first, then demote *)
         charge_store st go.gaddr bytes;
         let raw = sraw v in
         Memory.write_size st.mem go.gaddr ~bytes raw;
@@ -1764,7 +1767,7 @@ and compile_stmt c (s : R.stmt) (next : ucode) : ucode =
               lp
             end
           in
-          register_local_lp st fr slot lp
+          register_local st fr slot lp
         end;
         next fr)
   | R.Ifp_deregister_local slot ->
@@ -1804,5 +1807,5 @@ let program ?profile (st : state) : env =
   env
 
 (* the compiled entry point for [main] (no call prelude — matching the
-   interpreter, which runs main's body directly) *)
+   reference, which runs main's body directly) *)
 let main_code (env : env) : ucode = env.fbodies.(env.st.rp.main)

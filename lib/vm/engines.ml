@@ -4,24 +4,21 @@
    config picks its engine without any caller plumbing. *)
 
 let of_string = function
-  | "vm" -> Some Rt.Eng_vm
   | "vm-ref" -> Some Rt.Eng_ref
   | "closure" -> Some Rt.Eng_closure
   | _ -> None
 
 let to_string = function
-  | Rt.Eng_vm -> "vm"
   | Rt.Eng_ref -> "vm-ref"
   | Rt.Eng_closure -> "closure"
 
-(* every engine, in presentation order (bench matrix columns) *)
-let all = [ Rt.Eng_vm; Rt.Eng_ref; Rt.Eng_closure ]
+(* every engine, oracle first (bench matrix columns, agreement checks) *)
+let all = [ Rt.Eng_ref; Rt.Eng_closure ]
 
 let names = List.map to_string all
 
 let run ?(config = Rt.default_config) (prog : Ifp_compiler.Ir.program) :
     Vm.result =
   match config.engine with
-  | Rt.Eng_vm -> Vm.run ~config prog
   | Rt.Eng_ref -> Vm_ref.run ~config prog
-  | Rt.Eng_closure -> Vm_closure.run ~config prog
+  | Rt.Eng_closure -> Vm.run ~config prog

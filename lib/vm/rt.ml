@@ -1,13 +1,12 @@
-(* Shared VM runtime: the execution substrate both engines run on.
+(* VM runtime: the execution substrate the production engine runs on.
 
-   Everything here is engine-independent — configuration, the machine
-   state record, cost charging, checked memory access, promote, local
-   object registration, program setup and the run scaffolding. {!Vm}
-   (the slot-resolved interpreter) and {!Vm_closure} (the
-   closure-compiled engine) are thin recursion strategies over these
-   primitives; keeping the primitives in one module is what makes the
-   engines bit-identical on every counter by construction rather than
-   by parallel maintenance.
+   Everything here is independent of the execution strategy —
+   configuration, the machine state record, cost charging, checked
+   memory access, promote, local object registration, program setup and
+   the run scaffolding. {!Compile} stages these primitives into closures
+   and {!Vm.run} drives the result; {!Vm_ref}, the independent oracle,
+   restates the same semantics on its own and is differentially tested
+   against it.
 
    This module deliberately has no [.mli]: it is the internal widest
    interface of the [ifp_vm] library. The supported public surface is
@@ -33,11 +32,13 @@ type variant = Baseline | Ifp | Ifp_no_promote
 
 type alloc_kind = Alloc_baseline | Alloc_wrapped | Alloc_subheap | Alloc_mixed
 
-(* Engines are observationally identical (outcome, counters, traces,
-   output), differing only in host-side execution strategy — which is
-   why [engine] is deliberately excluded from campaign job fingerprints:
-   a cached result is valid whichever engine produced it. *)
-type engine = Eng_vm | Eng_ref | Eng_closure
+(* [Eng_closure] is the production engine ({!Vm.run}); [Eng_ref] is the
+   frozen oracle ({!Vm_ref}). They are observationally identical
+   (outcome, counters, traces, output), differing only in host-side
+   execution strategy — which is why [engine] is deliberately excluded
+   from campaign job fingerprints: a cached result is valid whichever
+   engine produced it. *)
+type engine = Eng_ref | Eng_closure
 
 type config = {
   variant : variant;
@@ -73,7 +74,7 @@ let default_config =
     infer_alloc_types = false;
     trace_limit = 0;
     fault_plan = None;
-    engine = Eng_vm;
+    engine = Eng_closure;
     temporal = false;
   }
 
@@ -445,12 +446,10 @@ let eval_promote st v =
 
 (* ---- local object registration -------------------------------------- *)
 
-(* Registration with the layout pointer already resolved: the closure
-   engine feeds this from a per-site inline cache; the interpreter goes
-   through {!register_local}, which resolves via the per-run tyid
-   table. The split is observationally invisible — resolving the layout
-   pointer is host-side work with no charges. *)
-let register_local_lp st frame slot layout_ptr =
+(* Registration with the layout pointer already resolved: the engine
+   feeds it from a per-site inline cache over {!layout_ptr_of}, which is
+   host-side work with no charges. *)
+let register_local st frame slot layout_ptr =
   let addr = frame.local_addr.(slot) in
   let meta = match st.meta with Some m -> m | None -> assert false in
   let size = frame.local_size.(slot) in
@@ -478,13 +477,6 @@ let register_local_lp st frame slot layout_ptr =
     | None ->
       frame.local_tagged.(slot) <- addr;
       base st 20
-
-let register_local st frame slot =
-  let addr = frame.local_addr.(slot) in
-  if Int64.equal addr local_unset then
-    abort ("register of unknown local " ^ frame.rf.local_names.(slot))
-  else
-    register_local_lp st frame slot (layout_ptr_of st frame.local_tyid.(slot))
 
 let deregister_local st frame slot =
   if Int64.equal frame.local_addr.(slot) local_unset then ()
@@ -748,10 +740,10 @@ let setup_globals st =
 (* Everything around the engine: typecheck, instrument, lower, build the
    machine, run globals setup, dispatch into the engine's [main_body]
    (which raises the usual control exceptions), and assemble the result.
-   [main_body st frame f] must execute [f]'s body in [frame]; a normal
+   [main_body st frame] must execute main's body in [frame]; a normal
    return means main fell off the end. *)
 let run_with ~(config : config) (raw_prog : Ir.program)
-    ~(main_body : state -> frame -> R.func -> unit) =
+    ~(main_body : state -> frame -> unit) =
   Typecheck.check_program raw_prog;
   let prog, report =
     match config.variant with
@@ -859,9 +851,8 @@ let run_with ~(config : config) (raw_prog : Ir.program)
     | () -> (
       if rp.main < 0 then Aborted (Program_error "no main function")
       else
-        let mainf = rp.funcs.(rp.main) in
-        let frame = make_frame mainf in
-        match main_body st frame mainf with
+        let frame = make_frame rp.funcs.(rp.main) in
+        match main_body st frame with
         | () -> Finished 0L
         | exception Return_exc v -> Finished (as_int v)
         | exception Trap.Trap t ->

@@ -1,5 +1,5 @@
-(** The execution engine: interprets MiniC programs on the simulated
-    machine under one of three variants, producing the dynamic event
+(** The execution engine: runs MiniC programs on the simulated machine
+    under one of three variants, producing the dynamic event
     counts, cycle estimate and memory footprint the evaluation harness
     consumes.
 
@@ -22,19 +22,19 @@ type alloc_kind = Rt.alloc_kind =
       (** subheap for small typed allocations, wrapped for the rest —
           the runtime-selection extension of §4.2.1 (future work) *)
 
-(** Which execution engine runs the program. All three are
-    observationally identical — same outcome, counters, traces, output —
-    and differ only in host-side speed:
-    - [Eng_vm]: the slot-resolved interpreter (this module; default)
+(** Which execution engine runs the program. Both are observationally
+    identical — same outcome, counters, traces, output — and differ only
+    in host-side speed:
     - [Eng_ref]: the frozen tree-walking oracle ({!Vm_ref})
-    - [Eng_closure]: the closure-compiled engine ({!Vm_closure})
+    - [Eng_closure]: the closure-compiled production engine ({!run};
+      default)
 
-    {!Vm.run} itself always runs the interpreter regardless of this
+    {!Vm.run} itself always runs the closure engine regardless of this
     field; engine dispatch happens in {!Engines.run} (which the campaign
     layer's [Engine.default_runner] uses). The field is deliberately
     excluded from campaign job fingerprints: a cached result is valid
     whichever engine produced it. *)
-type engine = Rt.engine = Eng_vm | Eng_ref | Eng_closure
+type engine = Rt.engine = Eng_ref | Eng_closure
 
 type config = Rt.config = {
   variant : variant;
@@ -58,7 +58,7 @@ type config = Rt.config = {
           [Invalid_metadata]) instead of deferring detection to the
           poisoned dereference. *)
   engine : engine;
-      (** which engine {!Engines.run} dispatches to; [Eng_vm] default *)
+      (** which engine {!Engines.run} dispatches to; [Eng_closure] default *)
   temporal : bool;
       (** free-epoch generations (default [false]): metadata records
           carry a generation and freed flag mirrored into the pointer
@@ -124,10 +124,21 @@ type result = Rt.result = {
           [[]] when [fault_plan = None] or the trigger never fired *)
 }
 
-val run : ?config:config -> Ifp_compiler.Ir.program -> result
-(** Typechecks, instruments (for IFP variants), executes [main]. Raises
+val run :
+  ?config:config -> ?profile:Profile.t -> Ifp_compiler.Ir.program -> result
+(** Typechecks, instruments (for IFP variants), lowers the program to
+    closures ({!Compile}: one closure per node, successors pre-linked,
+    hot tagged-pointer sequences fused into superinstructions, layout
+    walks served from per-site inline caches) and executes [main]. Raises
     {!Ifp_compiler.Typecheck.Type_error} on ill-typed programs; all
-    runtime failures are reported in [outcome].
+    runtime failures are reported in [outcome]. Observationally identical
+    to {!Vm_ref.run}: same outcome, every counter, traces and output, bit
+    for bit.
+
+    [?profile] attaches a dispatch profiler: every compiled closure is
+    wrapped with enter/exit probes feeding per-opcode counts and
+    self-time ({!Profile.report}); omitting it compiles probe-free
+    closures with zero overhead.
 
     Concurrency contract: [run] builds all of its state — {!Ifp_machine.Memory},
     {!Ifp_metadata.Meta}, allocator, counters — afresh per call, never

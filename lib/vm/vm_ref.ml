@@ -2,11 +2,12 @@
    slot-resolution pass. Every variable access goes through a string
    Hashtbl and every size/offset/layout is recomputed per access.
 
-   Kept verbatim so that (a) test_vm can differentially check that the
-   slot-resolved Vm produces bit-identical counters, traces and output,
-   and (b) bench/ifp_bench can report before/after host cost per
-   simulated instruction. Do not "improve" this module — its value is
-   being the unoptimised executable specification. *)
+   Kept verbatim as the single independent oracle: (a) the vm, engines
+   and temporal suites and the fuzz oracle differentially check that
+   the closure-compiled Vm.run produces bit-identical counters, traces
+   and output, and (b) bin/ifp_bench reports the host cost per
+   simulated instruction of both engines. Do not "improve" this module
+   — its value is being the unoptimised executable specification. *)
 
 module Ctype = Ifp_types.Ctype
 module Layout = Ifp_types.Layout

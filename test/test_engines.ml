@@ -1,10 +1,10 @@
-(* Three-engine differential testing: the slot-resolved interpreter
-   (Vm), the name-keyed reference (Vm_ref) and the closure-compiled
-   engine (Vm_closure) must be observationally identical — same outcome,
-   every counter, IFP trace, cache statistics, footprint and output —
-   on workloads, on failure paths (aborts, budget exhaustion, bounds
-   traps), and on a seeded stream of randomly generated programs that
-   mixes arithmetic, gep chains and promote-heavy pointer traffic.
+(* Engine differential testing: the closure-compiled production engine
+   (Vm.run) must be observationally identical to the name-keyed
+   reference (Vm_ref) — same outcome, every counter, IFP trace, cache
+   statistics, footprint and output — on workloads, on failure paths
+   (aborts, budget exhaustion, bounds traps), and on a seeded stream of
+   randomly generated programs that mixes arithmetic, gep chains and
+   promote-heavy pointer traffic.
 
    The closure engine's fused superinstructions and inline caches are
    specializations, not semantics: any divergence here is a bug in the
@@ -13,12 +13,13 @@
 open Core
 open Ir
 
+(* every engine, reference first, each through Engines.run *)
 let engines : (string * (Vm.config -> Ir.program -> Vm.result)) list =
-  [
-    ("vm", fun config prog -> Vm.run ~config prog);
-    ("vm-ref", fun config prog -> Vm_ref.run ~config prog);
-    ("closure", fun config prog -> Vm_closure.run ~config prog);
-  ]
+  List.map
+    (fun eng ->
+      ( Engines.to_string eng,
+        fun config prog -> Engines.run ~config:{ config with Vm.engine = eng } prog ))
+    Engines.all
 
 (* ---- full observable signature of a run ---------------------------- *)
 
@@ -417,9 +418,15 @@ let test_engines_dispatch () =
         (Engines.of_string name = Some eng))
     Engines.all;
   Alcotest.(check bool) "unknown engine" true (Engines.of_string "jit" = None);
+  Alcotest.(check bool) "vm spelling retired" true (Engines.of_string "vm" = None);
+  Alcotest.(check bool) "closure is the default engine" true
+    (Vm.default_config.engine = Vm.Eng_closure);
   let w = Option.get (Ifp_workloads.Registry.find "treeadd") in
   let prog = Lazy.force w.Ifp_workloads.Workload.prog in
-  let base = Vm.run ~config:Vm.ifp_subheap prog in
+  (* the default config dispatches to Vm.run *)
+  Alcotest.check Alcotest.string "default dispatch is Vm.run"
+    (result_sig (Vm.run prog)) (result_sig (Engines.run prog));
+  let base = Vm_ref.run ~config:Vm.ifp_subheap prog in
   List.iter
     (fun eng ->
       let r =
@@ -441,7 +448,7 @@ let test_profile () =
   let p = Profile.create ~clock in
   let w = Option.get (Ifp_workloads.Registry.find "treeadd") in
   let prog = Lazy.force w.Ifp_workloads.Workload.prog in
-  let r = Vm_closure.run ~config:Vm.ifp_subheap ~profile:p prog in
+  let r = Vm.run ~config:Vm.ifp_subheap ~profile:p prog in
   (match r.Vm.outcome with
   | Vm.Finished _ -> ()
   | o -> Alcotest.fail ("treeadd did not finish: " ^ outcome_str o));
@@ -463,12 +470,12 @@ let test_profile () =
 
 let tests =
   [
-    Alcotest.test_case "three engines agree on workloads" `Quick test_workloads;
-    Alcotest.test_case "three engines agree on failure paths" `Quick
+    Alcotest.test_case "engines agree on workloads" `Quick test_workloads;
+    Alcotest.test_case "engines agree on failure paths" `Quick
       test_failure_paths;
     Alcotest.test_case "local registration via inline cache" `Quick
       test_local_registration;
-    Alcotest.test_case "three engines agree on random programs" `Quick
+    Alcotest.test_case "engines agree on random programs" `Quick
       test_random_programs;
     Alcotest.test_case "engine dispatch and names" `Quick test_engines_dispatch;
     Alcotest.test_case "closure dispatch profiler" `Quick test_profile;

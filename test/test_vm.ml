@@ -263,12 +263,12 @@ let test_output () =
   in
   Alcotest.(check (list string)) "printed" [ "42" ] r.Vm.output
 
-(* ---- slot-resolution determinism ---------------------------------- *)
+(* ---- engine determinism ------------------------------------------- *)
 
-(* The slot-resolved interpreter must be observationally identical to
-   the frozen name-keyed reference: same outcome, every counter, cache
-   statistics, footprint, output and IFP trace, across all execution
-   modes. *)
+(* Vm.run (the closure-compiled engine) must be observationally
+   identical to the frozen name-keyed reference: same outcome, every
+   counter, cache statistics, footprint, output and IFP trace, across
+   all execution modes. *)
 
 let outcome_str = function
   | Vm.Finished v -> "finished:" ^ Int64.to_string v
