@@ -31,93 +31,62 @@ module Engines = Core.Engines
 module Profile = Core.Profile
 module Counters = Core.Counters
 module Events = Ifp_campaign.Events
+module Cli = Ifp_campaign.Cli
 
-type opts = {
-  quick : bool;
-  reps : int;
-  out : string;
-  only : string list;  (* empty = fig10 set *)
-  engines : Vm.engine list;  (* empty = Engines.all *)
-  profile : bool;
-}
+let quick = ref false and reps = ref 3 and out = ref "BENCH_vm.json"
+let only = ref [] (* empty = fig10 set *)
+let engines = ref [] (* empty = Engines.all *)
+let profile = ref false
 
-let usage () =
-  prerr_endline
-    "usage: ifp_bench [--quick] [--reps N] [--out PATH] [--engine E]... \
-     [--profile] [workload ...]";
-  Printf.eprintf "  engines: %s\n" (String.concat " | " Engines.names);
-  exit 2
-
-let parse_opts argv =
-  let opts =
-    ref
-      {
-        quick = false;
-        reps = 3;
-        out = "BENCH_vm.json";
-        only = [];
-        engines = [];
-        profile = false;
-      }
-  in
-  let rec go = function
-    | [] -> ()
-    | "--quick" :: rest ->
-      opts := { !opts with quick = true; reps = 1 };
-      go rest
-    | "--reps" :: n :: rest ->
-      (match int_of_string_opt n with
-      | Some n when n > 0 -> opts := { !opts with reps = n }
-      | _ -> usage ());
-      go rest
-    | "--out" :: p :: rest ->
-      opts := { !opts with out = p };
-      go rest
-    | "--engine" :: e :: rest ->
-      (match Engines.of_string e with
-      | Some eng when not (List.mem eng !opts.engines) ->
-        opts := { !opts with engines = !opts.engines @ [ eng ] };
-        go rest
-      | Some _ -> go rest
-      | None ->
-        Printf.eprintf "unknown engine %s\n" e;
-        usage ())
-    | "--profile" :: rest ->
-      opts := { !opts with profile = true };
-      go rest
-    | w :: rest ->
-      if String.length w > 0 && w.[0] = '-' then usage ();
-      opts := { !opts with only = !opts.only @ [ w ] };
-      go rest
-  in
-  go (List.tl (Array.to_list argv));
-  let o = !opts in
-  let engines = if o.engines = [] then Engines.all else o.engines in
-  let engines =
-    if o.profile && not (List.mem Vm.Eng_closure engines) then
-      engines @ [ Vm.Eng_closure ]
-    else engines
-  in
-  { o with engines }
+(* --quick sets --reps 1, so a later --reps overrides it *)
+let parse_opts () =
+  let workloads = List.map (fun (w : W.t) -> (w.name, w)) Registry.all in
+  Cli.parse
+    ~anon:(fun name -> only := !only @ [ Cli.lookup "workload" workloads name ])
+    [
+      ( "--quick",
+        Arg.Unit
+          (fun () ->
+            quick := true;
+            reps := 1),
+        " three workloads, one rep: the CI smoke configuration" );
+      ( "--reps",
+        Cli.checked "a positive integer"
+          (fun s ->
+            match int_of_string_opt s with
+            | Some n when n > 0 -> Some n
+            | _ -> None)
+          (( := ) reps),
+        Printf.sprintf "N best-of-N timing (default %d)" !reps );
+      ( "--out",
+        Arg.Set_string out,
+        "PATH aggregate destination (default " ^ !out ^ ")" );
+      ( "--engine",
+        Arg.Symbol
+          ( Engines.names,
+            fun e ->
+              let eng = Option.get (Engines.of_string e) in
+              if not (List.mem eng !engines) then engines := !engines @ [ eng ]
+          ),
+        " time only this engine (repeatable; default: all)" );
+      ( "--profile",
+        Arg.Set profile,
+        " print the closure engine's per-opcode dispatch histogram" );
+    ]
+    "usage: ifp_bench [OPTIONS] [WORKLOAD...]";
+  if !engines = [] then engines := Engines.all;
+  if !profile && not (List.mem Vm.Eng_closure !engines) then
+    engines := !engines @ [ Vm.Eng_closure ]
 
 let quick_set = [ "treeadd"; "mst"; "ft" ]
 
-let workloads opts =
-  match opts.only with
+let workloads () =
+  match !only with
   | [] ->
-    if opts.quick then
+    if !quick then
       List.filter (fun (w : W.t) -> List.mem w.name quick_set) Registry.all
     else Registry.all
-  | names ->
-    List.map
-      (fun n ->
-        match Registry.find n with
-        | Some w -> w
-        | None ->
-          Printf.eprintf "unknown workload %s (have: %s)\n" n
-            (String.concat " " Registry.names);
-          exit 2)
-      names
+  | only -> only
 
 let configs =
   [
@@ -261,16 +230,16 @@ let print_profile (wl : W.t) (cname, config) =
 
 (* ---- reporting ------------------------------------------------------- *)
 
-let json_of_rows rows geo_speedup ok opts =
+let json_of_rows rows geo_speedup ok =
   let open Events in
   let fopt = function Some x -> Float x | None -> Null in
   Obj
     [
       ("bench", String "ifp_bench");
       ("unit", String "host ns per simulated instruction");
-      ("quick", Bool opts.quick);
-      ("reps", Int opts.reps);
-      ("engines", List (List.map (fun e -> String (Engines.to_string e)) opts.engines));
+      ("quick", Bool !quick);
+      ("reps", Int !reps);
+      ("engines", List (List.map (fun e -> String (Engines.to_string e)) !engines));
       ("engines_agree", Bool ok);
       ( "rows",
         List
@@ -290,9 +259,8 @@ let json_of_rows rows geo_speedup ok opts =
     ]
 
 let () =
-  let opts = parse_opts Sys.argv in
-  let wls = workloads opts in
-  let engines = opts.engines in
+  parse_opts ();
+  let wls = workloads () and engines = !engines in
   let header =
     String.concat " -> " (List.map Engines.to_string engines) ^ " ns/instr"
   in
@@ -302,7 +270,7 @@ let () =
       (fun wl ->
         List.map
           (fun cfg ->
-            let r = bench_one ~reps:opts.reps ~engines wl cfg in
+            let r = bench_one ~reps:!reps ~engines wl cfg in
             let cols =
               String.concat " -> "
                 (List.map
@@ -332,11 +300,10 @@ let () =
     Printf.printf "\ngeo-mean speedup (vm-ref -> closure): %.2fx over %d runs\n"
       g (List.length rows)
   | None -> ());
-  if opts.profile then
+  if !profile then
     List.iter
       (fun wl -> List.iter (print_profile wl) configs)
       wls;
-  Events.write_json_file ~path:opts.out
-    (json_of_rows rows geo (bad = []) opts);
-  Printf.printf "wrote %s\n" opts.out;
+  Events.write_json_file ~path:!out (json_of_rows rows geo (bad = []));
+  Printf.printf "wrote %s\n" !out;
   if bad <> [] then exit 1

@@ -11,23 +11,22 @@
 
    All VM runs are dispatched through the lib/campaign engine: the
    workload x config matrix is expanded into content-addressed jobs,
-   executed on `-j N` worker domains, served from the on-disk result
-   cache when unchanged, and observable through a JSONL event log. The
-   tables printed on stdout are byte-identical for any `-j`; an
-   end-of-run aggregate is written to BENCH_experiments.json.
+   executed on N worker domains, served from the on-disk result cache
+   when unchanged, and observable through a JSONL event log. The tables
+   printed on stdout are byte-identical for any N; an end-of-run
+   aggregate is written to BENCH_experiments.json.
 
-   Runs are crash-safe when given a write-ahead journal (--journal):
-   each completion is CRC32-framed and flushed before the next job, so
-   after a SIGKILL/OOM/power loss, --resume JOURNAL replays the finished
-   prefix and re-runs only the rest — converging to tables and
+   Runs are crash-safe when given a write-ahead journal: each
+   completion is CRC32-framed and flushed before the next job, so after
+   a SIGKILL/OOM/power loss, resuming from the journal replays the
+   finished prefix and re-runs only the rest — converging to tables and
    aggregates identical to an uninterrupted run. SIGINT/SIGTERM drain
    gracefully: running jobs finish and are journaled, pending jobs are
-   skipped, and the process exits nonzero (resume with --resume).
+   skipped, and the process exits nonzero with a resume hint.
 
-   Usage: ifp_experiments [TARGET] [-j N] [--cache-dir DIR] [--no-cache]
-                          [--log FILE] [--no-log] [--retries N]
-                          [--journal FILE] [--resume FILE]
-                          [--bench-out FILE] *)
+   Usage: ifp_experiments [TARGET] [--bench-out FILE] [CAMPAIGN FLAGS]
+   The campaign flags (workers, cache, log, watchdog, retries, journal
+   and resume) are those of Ifp_campaign.Cli; --help lists them all. *)
 
 open Core
 module W = Ifp_workloads.Workload
@@ -35,101 +34,8 @@ module Registry = Ifp_workloads.Registry
 module Table = Ifp_util.Table
 module Job = Ifp_campaign.Job
 module Engine = Ifp_campaign.Engine
-module Rcache = Ifp_campaign.Cache
 module Events = Ifp_campaign.Events
 module Cli = Ifp_campaign.Cli
-
-(* ---------------- options ---------------- *)
-
-type opts = {
-  target : string;
-  workers : int;
-  cache_dir : string option;
-  cache_max_bytes : int option;
-  log_path : string option;
-  bench_out : string;
-  retries : int;
-  journal : string option;
-  resume : bool;
-  chaos_kill_after : int option;
-}
-
-let default_opts =
-  {
-    target = "all";
-    workers = 1;
-    cache_dir = Some ".ifp-cache";
-    cache_max_bytes = None;
-    log_path = Some "campaign.jsonl";
-    bench_out = "BENCH_experiments.json";
-    retries = 2;
-    journal = None;
-    resume = false;
-    chaos_kill_after = None;
-  }
-
-let usage () =
-  prerr_endline
-    "usage: ifp_experiments [TARGET] [-j N] [--cache-dir DIR] [--no-cache]\n\
-    \                       [--cache-max-bytes BYTES[k|M|G]]\n\
-    \                       [--log FILE] [--no-log] [--retries N]\n\
-    \                       [--journal FILE] [--resume FILE]\n\
-    \                       [--bench-out FILE]\n\
-     TARGET: all table2 table4 fig10 fig11 fig12 fig13 baselines extensions\n\
-    \        juliet  (default: all)\n\
-    \  --journal FILE  write-ahead journal of completed jobs (crash-safe)\n\
-    \  --resume FILE   replay FILE's completed jobs, run the rest, keep\n\
-    \                  journaling to it; tolerates a torn final record\n\
-    \  (--chaos-kill-after N: test hook — SIGKILL self after N jobs)";
-  exit 1
-
-let parse_opts argv =
-  let o = ref default_opts in
-  let i = ref 1 in
-  let next what =
-    incr i;
-    if !i >= Array.length argv then (
-      Printf.eprintf "missing argument to %s\n" what;
-      usage ())
-    else argv.(!i)
-  in
-  let int_arg what =
-    let s = next what in
-    match int_of_string_opt s with
-    | Some n when n >= 0 -> n
-    | _ ->
-      Printf.eprintf "bad %s argument %S\n" what s;
-      usage ()
-  in
-  while !i < Array.length argv do
-    (match argv.(!i) with
-    | "-j" | "--jobs" -> o := { !o with workers = max 1 (int_arg "-j") }
-    | "--cache-dir" -> o := { !o with cache_dir = Some (next "--cache-dir") }
-    | "--no-cache" -> o := { !o with cache_dir = None }
-    | "--cache-max-bytes" -> (
-      let s = next "--cache-max-bytes" in
-      match Cli.parse_bytes s with
-      | Some b -> o := { !o with cache_max_bytes = Some b }
-      | None ->
-        Printf.eprintf "bad --cache-max-bytes argument %S\n" s;
-        usage ())
-    | "--log" -> o := { !o with log_path = Some (next "--log") }
-    | "--no-log" -> o := { !o with log_path = None }
-    | "--retries" -> o := { !o with retries = int_arg "--retries" }
-    | "--journal" -> o := { !o with journal = Some (next "--journal") }
-    | "--resume" ->
-      o := { !o with journal = Some (next "--resume"); resume = true }
-    | "--chaos-kill-after" ->
-      o := { !o with chaos_kill_after = Some (int_arg "--chaos-kill-after") }
-    | "--bench-out" -> o := { !o with bench_out = next "--bench-out" }
-    | "-h" | "--help" -> usage ()
-    | s when String.length s > 0 && s.[0] = '-' ->
-      Printf.eprintf "unknown option %s\n" s;
-      usage ()
-    | target -> o := { !o with target });
-    incr i
-  done;
-  !o
 
 (* ---------------- the job matrix ---------------- *)
 
@@ -218,13 +124,10 @@ let extensions_jobs () =
 
 let jobs_for_target = function
   | "table2" | "fig13" -> []
-  | "table4" | "fig10" | "fig11" | "fig12" | "baselines" -> row_jobs ()
   | "extensions" -> extensions_jobs ()
   | "juliet" -> juliet_jobs juliet_configs
   | "all" -> row_jobs () @ extensions_jobs () @ juliet_jobs juliet_configs
-  | other ->
-    Printf.eprintf "unknown experiment %s\n" other;
-    usage ()
+  | _ (* table4 fig10 fig11 fig12 baselines *) -> row_jobs ()
 
 (* identical (program, config) work submitted under two labels — e.g.
    em3d/subheap appearing in both the row matrix and the extensions set —
@@ -629,7 +532,8 @@ let juliet ctx =
 
 (* ---------------- aggregate (BENCH_experiments.json) ---------------- *)
 
-let bench_aggregate ~opts ~(stats : Engine.stats) ctx rows_computed =
+let bench_aggregate ~target ~log_path ~(stats : Engine.stats) ctx
+    rows_computed =
   let open Events in
   let workloads =
     if not rows_computed then Null
@@ -682,80 +586,75 @@ let bench_aggregate ~opts ~(stats : Engine.stats) ctx rows_computed =
   Obj
     [
       ("bench", String "ifp_experiments");
-      ("target", String opts.target);
+      ("target", String target);
       ("model_digest", String Job.model_digest);
       ("campaign", Obj (Engine.stats_json stats));
-      ("events_log", match opts.log_path with Some p -> String p | None -> Null);
+      ("events_log", match log_path with Some p -> String p | None -> Null);
       ("workloads", workloads);
       ("geomean", geomean);
     ]
 
 (* ---------------- driver ---------------- *)
 
-let targets_of = function
-  | "all" ->
-    [ "table2"; "table4"; "fig10"; "fig11"; "fig12"; "fig13"; "baselines";
-      "extensions"; "juliet" ]
-  | t -> [ t ]
+let renderers =
+  [
+    ("table2", fun _ -> table2 ());
+    ("table4", table4);
+    ("fig10", fig10);
+    ("fig11", fig11);
+    ("fig12", fig12);
+    ("fig13", fun _ -> fig13 ());
+    ("baselines", baselines);
+    ("extensions", extensions);
+    ("juliet", juliet);
+  ]
 
-let needs_rows target =
+(* TARGET names: one renderer each, or all of them in order *)
+let targets =
+  ("all", List.map fst renderers)
+  :: List.map (fun (t, _) -> (t, [ t ])) renderers
+
+let needs_rows selected =
   List.exists
-    (fun t ->
-      List.mem t [ "table4"; "fig10"; "fig11"; "fig12"; "baselines" ])
-    (targets_of target)
+    (fun t -> List.mem t [ "table4"; "fig10"; "fig11"; "fig12"; "baselines" ])
+    selected
 
 let () =
-  let opts = parse_opts Sys.argv in
-  let jobs = dedupe_jobs (jobs_for_target opts.target) in
-  let cache =
-    Option.map
-      (fun dir -> Rcache.create ?max_bytes:opts.cache_max_bytes ~dir ())
-      opts.cache_dir
+  let target = ref ("all", List.assoc "all" targets) in
+  let bench_out = ref "BENCH_experiments.json" in
+  let chaos_kill_after = ref None in
+  let campaign =
+    ref { Cli.campaign_defaults with log = Some "campaign.jsonl" }
   in
-  let stop = Cli.install_interrupt () in
-  let journal, replay = Cli.open_journal ~path:opts.journal ~resume:opts.resume in
-  let log, log_truncated = Cli.open_log ~path:opts.log_path ~resume:opts.resume in
-  Cli.emit_resumed log ~replay ~log_truncated;
+  Cli.parse
+    ~anon:(fun t -> target := (t, Cli.lookup "target" targets t))
+    (Cli.campaign_specs campaign
+    @ [
+        ( "--bench-out",
+          Arg.Set_string bench_out,
+          "FILE aggregate destination (default " ^ !bench_out ^ ")" );
+        ( "--chaos-kill-after",
+          Cli.nat (fun n -> chaos_kill_after := Some n),
+          "N test hook: SIGKILL self after N journaled jobs" );
+      ])
+    ("usage: ifp_experiments [TARGET] [OPTIONS]\nTARGET: "
+    ^ String.concat " " (List.map fst targets)
+    ^ " (default: all)");
+  let (target, selected), campaign = (!target, !campaign) in
+  let jobs = dedupe_jobs (jobs_for_target target) in
+  let session = Cli.open_campaign campaign in
   let on_job_done =
-    match opts.chaos_kill_after with
-    | Some n -> Ifp_campaign.Chaos.arm_kill ~after:n
-    | None -> fun _ -> ()
+    Option.map (fun n -> Ifp_campaign.Chaos.arm_kill ~after:n) !chaos_kill_after
   in
   let outcomes, stats =
-    Engine.run ~workers:opts.workers ?cache ?journal ~log ~stop ~on_job_done
-      ~retries:opts.retries jobs
+    Cli.run_campaign session ~hint:"campaign interrupted" ?on_job_done jobs
   in
-  if stats.Engine.interrupted then
-    Cli.finish
-      ~hint:
-        (Printf.sprintf
-           "campaign interrupted: %d done, %d skipped%s"
-           (stats.Engine.completed + stats.Engine.failed
-          + stats.Engine.timed_out)
-           stats.Engine.skipped
-           (match opts.journal with
-           | Some p -> Printf.sprintf "; resume with --resume %s" p
-           | None -> " (no --journal: a re-run starts from the cache only)"))
-      ~journal ~log ~interrupted:true ();
   let ctx = { outcomes = Hashtbl.create (Array.length outcomes * 2) } in
   Array.iter
     (fun (o : Engine.outcome) -> Hashtbl.replace ctx.outcomes o.job.Job.name o)
     outcomes;
-  let run = function
-    | "table2" -> table2 ()
-    | "table4" -> table4 ctx
-    | "fig10" -> fig10 ctx
-    | "fig11" -> fig11 ctx
-    | "fig12" -> fig12 ctx
-    | "fig13" -> fig13 ()
-    | "baselines" -> baselines ctx
-    | "extensions" -> extensions ctx
-    | "juliet" -> juliet ctx
-    | other ->
-      Printf.eprintf "unknown experiment %s\n" other;
-      exit 1
-  in
-  List.iter run (targets_of opts.target);
-  Events.write_json_file ~path:opts.bench_out
-    (bench_aggregate ~opts ~stats ctx (needs_rows opts.target));
-  Cli.finish ~journal ~log ~interrupted:false ()
+  List.iter (fun t -> List.assoc t renderers ctx) selected;
+  Events.write_json_file ~path:!bench_out
+    (bench_aggregate ~target ~log_path:campaign.log ~stats ctx
+       (needs_rows selected));
+  Cli.close_campaign session

@@ -15,117 +15,23 @@
    watchdog). The coverage table is printed on stdout and the per-class
    x per-variant counts are written to BENCH_faults.json.
 
-   With --journal the campaign is crash-safe: completions are written
-   ahead to a CRC32-framed journal, --resume JOURNAL replays them, and
+   With a journal the campaign is crash-safe: completions are written
+   ahead to a CRC32-framed journal, resuming from it replays them, and
    SIGINT/SIGTERM drain gracefully (exit 130, resumable).
 
-   Usage: ifp_faults [--seeds N] [-j N] [--cache-dir DIR] [--no-cache]
-                     [--log FILE] [--no-log] [--timeout SECS]
-                     [--journal FILE] [--resume FILE]
-                     [--retries N] [--out FILE] *)
+   Usage: ifp_faults [--seeds N] [--out FILE] [CAMPAIGN FLAGS]
+   The campaign flags (workers, cache, log, watchdog, retries, journal
+   and resume) are those of Ifp_campaign.Cli; --help lists them all. *)
 
 open Core
 module Job = Ifp_campaign.Job
 module Engine = Ifp_campaign.Engine
-module Rcache = Ifp_campaign.Cache
 module Events = Ifp_campaign.Events
 module Cli = Ifp_campaign.Cli
 module Fault = Ifp_faultinject.Fault
 module Classify = Ifp_faultinject.Classify
 module Victim = Ifp_faultinject.Victim
 module Table = Ifp_util.Table
-
-(* ---------------- options ---------------- *)
-
-type opts = {
-  seeds : int;
-  workers : int;
-  cache_dir : string option;
-  cache_max_bytes : int option;
-  log_path : string option;
-  out : string;
-  retries : int;
-  timeout : float option;
-  journal : string option;
-  resume : bool;
-}
-
-let default_opts =
-  {
-    seeds = 20;
-    workers = 1;
-    cache_dir = Some ".ifp-cache";
-    cache_max_bytes = None;
-    log_path = Some "faults.jsonl";
-    out = "BENCH_faults.json";
-    retries = 1;
-    timeout = Some 60.0;
-    journal = None;
-    resume = false;
-  }
-
-let usage () =
-  prerr_endline
-    "usage: ifp_faults [--seeds N] [-j N] [--cache-dir DIR] [--no-cache]\n\
-    \                  [--cache-max-bytes BYTES[k|M|G]]\n\
-    \                  [--log FILE] [--no-log] [--timeout SECS]\n\
-    \                  [--journal FILE] [--resume FILE]\n\
-    \                  [--retries N] [--out FILE]";
-  exit 1
-
-let parse_opts argv =
-  let o = ref default_opts in
-  let i = ref 1 in
-  let next what =
-    incr i;
-    if !i >= Array.length argv then (
-      Printf.eprintf "missing argument to %s\n" what;
-      usage ())
-    else argv.(!i)
-  in
-  let int_arg what =
-    let s = next what in
-    match int_of_string_opt s with
-    | Some n when n >= 0 -> n
-    | _ ->
-      Printf.eprintf "bad %s argument %S\n" what s;
-      usage ()
-  in
-  while !i < Array.length argv do
-    (match argv.(!i) with
-    | "--seeds" -> o := { !o with seeds = max 1 (int_arg "--seeds") }
-    | "-j" | "--jobs" -> o := { !o with workers = max 1 (int_arg "-j") }
-    | "--cache-dir" -> o := { !o with cache_dir = Some (next "--cache-dir") }
-    | "--no-cache" -> o := { !o with cache_dir = None }
-    | "--cache-max-bytes" -> (
-      let s = next "--cache-max-bytes" in
-      match Cli.parse_bytes s with
-      | Some b -> o := { !o with cache_max_bytes = Some b }
-      | None ->
-        Printf.eprintf "bad --cache-max-bytes argument %S\n" s;
-        usage ())
-    | "--log" -> o := { !o with log_path = Some (next "--log") }
-    | "--no-log" -> o := { !o with log_path = None }
-    | "--timeout" -> (
-      let s = next "--timeout" in
-      match float_of_string_opt s with
-      | Some t when t > 0.0 -> o := { !o with timeout = Some t }
-      | Some _ -> o := { !o with timeout = None }
-      | None ->
-        Printf.eprintf "bad --timeout argument %S\n" s;
-        usage ())
-    | "--retries" -> o := { !o with retries = int_arg "--retries" }
-    | "--journal" -> o := { !o with journal = Some (next "--journal") }
-    | "--resume" ->
-      o := { !o with journal = Some (next "--resume"); resume = true }
-    | "--out" -> o := { !o with out = next "--out" }
-    | "-h" | "--help" -> usage ()
-    | s ->
-      Printf.eprintf "unknown option %s\n" s;
-      usage ());
-    incr i
-  done;
-  !o
 
 (* ---------------- the job matrix ---------------- *)
 
@@ -250,30 +156,32 @@ let detection_rate t =
 (* ---------------- driver ---------------- *)
 
 let () =
-  let opts = parse_opts Sys.argv in
-  let all_jobs = jobs ~seeds:opts.seeds in
-  let cache =
-    Option.map
-      (fun dir -> Rcache.create ?max_bytes:opts.cache_max_bytes ~dir ())
-      opts.cache_dir
+  let seeds = ref 20 in
+  let out = ref "BENCH_faults.json" in
+  let campaign =
+    ref
+      {
+        Cli.campaign_defaults with
+        retries = 1;
+        timeout = Some 60.0;
+        log = Some "faults.jsonl";
+      }
   in
-  let stop = Cli.install_interrupt () in
-  let journal, replay = Cli.open_journal ~path:opts.journal ~resume:opts.resume in
-  let log, log_truncated = Cli.open_log ~path:opts.log_path ~resume:opts.resume in
-  Cli.emit_resumed log ~replay ~log_truncated;
+  Cli.parse
+    (( "--seeds",
+       Cli.at_least_one (( := ) seeds),
+       Printf.sprintf "N seeds per (class, variant) cell (default %d)" !seeds
+     )
+    :: ( "--out",
+         Arg.Set_string out,
+         "FILE aggregate destination (default " ^ !out ^ ")" )
+    :: Cli.campaign_specs campaign)
+    "usage: ifp_faults [OPTIONS]";
+  let seeds = !seeds in
+  let session = Cli.open_campaign !campaign in
   let outcomes, stats =
-    Engine.run ~workers:opts.workers ?cache ?journal ~log ~stop
-      ~retries:opts.retries ?job_timeout:opts.timeout all_jobs
+    Cli.run_campaign session ~hint:"fault campaign interrupted" (jobs ~seeds)
   in
-  if stats.Engine.interrupted then
-    Cli.finish
-      ~hint:
-        (Printf.sprintf "fault campaign interrupted: %d skipped%s"
-           stats.Engine.skipped
-           (match opts.journal with
-           | Some p -> Printf.sprintf "; resume with --resume %s" p
-           | None -> ""))
-      ~journal ~log ~interrupted:true ();
   let by_name = Hashtbl.create (Array.length outcomes * 2) in
   Array.iter
     (fun (o : Engine.outcome) -> Hashtbl.replace by_name o.Engine.job.Job.name o)
@@ -303,7 +211,7 @@ let () =
           List.map
             (fun (vname, _) ->
               let t = fresh_tally () in
-              for seed = 0 to opts.seeds - 1 do
+              for seed = 0 to seeds - 1 do
                 match Hashtbl.find_opt by_name (fault_name cls vname seed) with
                 | Some { Engine.result = Some r; _ } ->
                   let fired = r.Vm.fault_injections <> [] in
@@ -322,7 +230,7 @@ let () =
   (* ---------------- report ---------------- *)
   Printf.printf
     "== Fault-injection coverage: %d seeds per class x variant, victim %s ==\n"
-    opts.seeds Victim.name;
+    seeds Victim.name;
   let header =
     [ "fault class"; "variant"; "detected"; "other-trap"; "silent"; "benign";
       "not-fired"; "aborted"; "failed"; "detection" ]
@@ -352,7 +260,7 @@ let () =
   Table.print ~header (rows_of tallies);
   Printf.printf
     "\n== Temporal fault coverage: %d seeds per class x variant, victim %s ==\n"
-    opts.seeds Victim.temporal_name;
+    seeds Victim.temporal_name;
   Table.print ~header (rows_of ttallies);
   Printf.printf
     "\ncampaign: %d jobs, %d completed, %d failed, %d timed out, %d cache \
@@ -375,12 +283,12 @@ let () =
           match detection_rate t with None -> Null | Some r -> Float r );
       ]
   in
-  Events.write_json_file ~path:opts.out
+  Events.write_json_file ~path:!out
     (Obj
        [
          ("bench", String "ifp_faults");
          ("victim", String Victim.name);
-         ("seeds", Int opts.seeds);
+         ("seeds", Int seeds);
          ("model_digest", String Job.model_digest);
          ("campaign", Obj (Engine.stats_json stats));
          ( "classes",
@@ -405,7 +313,7 @@ let () =
                          per_variant) ))
                 ttallies) );
        ]);
-  Printf.printf "wrote %s\n" opts.out;
+  Printf.printf "wrote %s\n" !out;
   (* explicit exit: a Timed_out job's abandoned domain must not delay
      process death once the journal, log and aggregate are flushed *)
-  Cli.finish ~journal ~log ~interrupted:false ()
+  Cli.close_campaign session

@@ -10,23 +10,23 @@
    --dry consecutive rounds produce no new distinct counterexample, or
    at the --rounds cap.
 
-   Everything inherits the campaign engine's machinery: -j workers,
-   result cache (battery verdicts are digest-addressed, salted so they
-   never collide with plain runs), per-job watchdog, CRC write-ahead
-   journal, --resume, SIGINT/SIGTERM graceful drain (exit 130). A
-   killed and resumed campaign reaches the same final report.
+   Everything inherits the campaign engine's machinery: parallel
+   workers, result cache (battery verdicts are digest-addressed, salted
+   so they never collide with plain runs), per-job watchdog, CRC
+   write-ahead journal and resume, SIGINT/SIGTERM graceful drain (exit
+   130). A killed and resumed campaign reaches the same final report.
 
    Usage:
      ifp_fuzz [--seed S] [--rounds N] [--cases N] [--dry K] [--quick]
-              [-j N] [--cache-dir DIR] [--cache-max-bytes B[k|M|G]]
-              [--log FILE] [--no-log] [--timeout SECS] [--retries N]
-              [--journal FILE] [--resume FILE] [--corpus DIR]
-              [--shrink-budget N] [--out FILE]
-     ifp_fuzz --repro FILE-or-DIGEST [--fault-seed S] [--corpus DIR] *)
+              [--corpus DIR] [--shrink-budget N] [--out FILE]
+              [CAMPAIGN FLAGS]
+     ifp_fuzz --repro FILE-or-DIGEST [--fault-seed S] [--corpus DIR]
+     ifp_fuzz --shrink FILE | --canon FILE | --emit-seed S
+   The campaign flags (workers, cache, log, watchdog, retries, journal
+   and resume) are those of Ifp_campaign.Cli; --help lists them all. *)
 
 module Job = Ifp_campaign.Job
 module Engine = Ifp_campaign.Engine
-module Rcache = Ifp_campaign.Cache
 module Events = Ifp_campaign.Events
 module Cli = Ifp_campaign.Cli
 module Vm = Ifp_vm.Vm
@@ -35,164 +35,97 @@ module Gen = Ifp_fuzz.Gen
 module Oracle = Ifp_fuzz.Oracle
 module Fuzz = Ifp_fuzz.Fuzz
 
-type opts = {
-  seed : int64;
-  rounds : int;
-  cases : int;
-  dry : int;
-  quick : bool;
-  workers : int;
-  cache_dir : string option;
-  cache_max_bytes : int option;
-  log_path : string option;
-  timeout : float option;
-  retries : int;
-  journal : string option;
-  resume : bool;
-  corpus : string;
-  shrink_budget : int;
-  out : string;
-  repro : string option;
-  fault_seed : int64;
-}
+(* options; --canon, --shrink and --emit-seed act (and exit) as soon as
+   they are parsed, seeing only the options given before them *)
+let seed = ref 1L and rounds = ref 8 and cases = ref 250 and dry = ref 2
+let quick = ref false and corpus = ref "test/golden/fuzz"
+let shrink_budget = ref 1200 and out = ref "BENCH_fuzz.json"
+let repro_target = ref None and fault_seed = ref 1L
 
-let default_opts =
-  {
-    seed = 1L;
-    rounds = 8;
-    cases = 250;
-    dry = 2;
-    quick = false;
-    workers = 1;
-    cache_dir = None;
-    cache_max_bytes = None;
-    log_path = Some "fuzz.jsonl";
-    timeout = Some 120.0;
-    retries = 1;
-    journal = None;
-    resume = false;
-    corpus = "test/golden/fuzz";
-    shrink_budget = 1200;
-    out = "BENCH_fuzz.json";
-    repro = None;
-    fault_seed = 1L;
-  }
+(* parse + typecheck + reprint: the corpus' canonical text form *)
+let canon path =
+  let src = In_channel.with_open_text path In_channel.input_all in
+  let p = Ifp_compiler.Parser.parse src in
+  Ifp_compiler.Typecheck.check_program p;
+  print_string (Ifp_compiler.Ir_pp.program_to_string p);
+  exit 0
 
-let usage () =
-  prerr_endline
-    "usage: ifp_fuzz [--seed S] [--rounds N] [--cases N] [--dry K] [--quick]\n\
-    \                [-j N] [--cache-dir DIR] [--cache-max-bytes BYTES[k|M|G]]\n\
-    \                [--log FILE] [--no-log] [--timeout SECS] [--retries N]\n\
-    \                [--journal FILE] [--resume FILE] [--corpus DIR]\n\
-    \                [--shrink-budget N] [--out FILE]\n\
+(* minimize a diverging source file and print the result *)
+let shrink path =
+  let src = In_channel.with_open_text path In_channel.input_all in
+  let fault_seed = !fault_seed in
+  match Fuzz.check_source ~fault_seed src with
+  | Error m ->
+    Printf.eprintf "%s: %s\n" path m;
+    exit 1
+  | Ok [] ->
+    Printf.eprintf "%s: no divergence to minimize\n" path;
+    exit 1
+  | Ok (f :: _) ->
+    let key = Oracle.failure_key f in
+    let prog = Ifp_compiler.Parser.parse src in
+    Ifp_compiler.Typecheck.check_program prog;
+    let small = Fuzz.minimize ~budget:!shrink_budget ~fault_seed ~key prog in
+    print_string (Ifp_compiler.Ir_pp.program_to_string small);
+    exit 0
+
+(* debug aid: print the generated source for a raw case seed *)
+let emit_seed s =
+  let knobs = if !quick then Gen.quick else Gen.default in
+  print_string (Gen.source ~knobs ~seed:s ());
+  exit 0
+
+let parse_opts () =
+  let campaign =
+    ref
+      {
+        Cli.campaign_defaults with
+        cache_dir = None;
+        retries = 1;
+        timeout = Some 120.0;
+        log = Some "fuzz.jsonl";
+      }
+  in
+  Cli.parse
+    ([
+       ("--seed", Cli.int64 (( := ) seed), "S campaign seed (default 1)");
+       ( "--rounds",
+         Cli.at_least_one (( := ) rounds),
+         "N round cap (default 8)" );
+       ( "--cases",
+         Cli.at_least_one (( := ) cases),
+         "N generated programs per round (default 250)" );
+       ( "--dry",
+         Cli.at_least_one (( := ) dry),
+         "K stop after K rounds with nothing new (default 2)" );
+       ("--quick", Arg.Set quick, " smaller generated programs");
+       ( "--corpus",
+         Arg.Set_string corpus,
+         "DIR counterexample corpus (default " ^ !corpus ^ ")" );
+       ( "--shrink-budget",
+         Cli.nat (( := ) shrink_budget),
+         "N minimizer step budget (default 1200)" );
+       ( "--out",
+         Arg.Set_string out,
+         "FILE aggregate destination (default " ^ !out ^ ")" );
+       ( "--repro",
+         Arg.String (fun t -> repro_target := Some t),
+         "FILE-or-DIGEST replay one counterexample and exit" );
+       ( "--fault-seed",
+         Cli.int64 (( := ) fault_seed),
+         "S fault seed of --repro and --shrink (default 1)" );
+       ("--canon", Arg.String canon, "FILE reprint FILE canonically and exit");
+       ( "--shrink",
+         Arg.String shrink,
+         "FILE minimize FILE's divergence, print it and exit" );
+       ( "--emit-seed",
+         Cli.int64 emit_seed,
+         "S print the generated source for case seed S and exit" );
+     ]
+    @ Cli.campaign_specs campaign)
+    "usage: ifp_fuzz [OPTIONS]\n\
     \       ifp_fuzz --repro FILE-or-DIGEST [--fault-seed S] [--corpus DIR]";
-  exit 1
-
-let parse_opts argv =
-  let o = ref default_opts in
-  let i = ref 1 in
-  let next what =
-    incr i;
-    if !i >= Array.length argv then (
-      Printf.eprintf "missing argument to %s\n" what;
-      usage ())
-    else argv.(!i)
-  in
-  let int_arg what =
-    let s = next what in
-    match int_of_string_opt s with
-    | Some n when n >= 0 -> n
-    | _ ->
-      Printf.eprintf "bad %s argument %S\n" what s;
-      usage ()
-  in
-  let int64_arg what =
-    let s = next what in
-    match Int64.of_string_opt s with
-    | Some n -> n
-    | None ->
-      Printf.eprintf "bad %s argument %S\n" what s;
-      usage ()
-  in
-  while !i < Array.length argv do
-    (match argv.(!i) with
-    | "--seed" -> o := { !o with seed = int64_arg "--seed" }
-    | "--rounds" -> o := { !o with rounds = max 1 (int_arg "--rounds") }
-    | "--cases" -> o := { !o with cases = max 1 (int_arg "--cases") }
-    | "--dry" -> o := { !o with dry = max 1 (int_arg "--dry") }
-    | "--quick" -> o := { !o with quick = true }
-    | "-j" | "--jobs" -> o := { !o with workers = max 1 (int_arg "-j") }
-    | "--cache-dir" -> o := { !o with cache_dir = Some (next "--cache-dir") }
-    | "--no-cache" -> o := { !o with cache_dir = None }
-    | "--cache-max-bytes" -> (
-      let s = next "--cache-max-bytes" in
-      match Cli.parse_bytes s with
-      | Some b -> o := { !o with cache_max_bytes = Some b }
-      | None ->
-        Printf.eprintf "bad --cache-max-bytes argument %S\n" s;
-        usage ())
-    | "--log" -> o := { !o with log_path = Some (next "--log") }
-    | "--no-log" -> o := { !o with log_path = None }
-    | "--timeout" -> (
-      let s = next "--timeout" in
-      match float_of_string_opt s with
-      | Some t when t > 0.0 -> o := { !o with timeout = Some t }
-      | Some _ -> o := { !o with timeout = None }
-      | None ->
-        Printf.eprintf "bad --timeout argument %S\n" s;
-        usage ())
-    | "--retries" -> o := { !o with retries = int_arg "--retries" }
-    | "--journal" -> o := { !o with journal = Some (next "--journal") }
-    | "--resume" ->
-      o := { !o with journal = Some (next "--resume"); resume = true }
-    | "--corpus" -> o := { !o with corpus = next "--corpus" }
-    | "--shrink-budget" ->
-      o := { !o with shrink_budget = int_arg "--shrink-budget" }
-    | "--out" -> o := { !o with out = next "--out" }
-    | "--repro" -> o := { !o with repro = Some (next "--repro") }
-    | "--canon" ->
-      (* parse + typecheck + reprint: the corpus' canonical text form *)
-      let path = next "--canon" in
-      let src = In_channel.with_open_text path In_channel.input_all in
-      let p = Ifp_compiler.Parser.parse src in
-      Ifp_compiler.Typecheck.check_program p;
-      print_string (Ifp_compiler.Ir_pp.program_to_string p);
-      exit 0
-    | "--shrink" ->
-      (* minimize a diverging source file and print the result *)
-      let path = next "--shrink" in
-      let src = In_channel.with_open_text path In_channel.input_all in
-      let fault_seed = !o.fault_seed in
-      (match Fuzz.check_source ~fault_seed src with
-      | Error m ->
-        Printf.eprintf "%s: %s\n" path m;
-        exit 1
-      | Ok [] ->
-        Printf.eprintf "%s: no divergence to minimize\n" path;
-        exit 1
-      | Ok (f :: _) ->
-        let key = Oracle.failure_key f in
-        let prog = Ifp_compiler.Parser.parse src in
-        Ifp_compiler.Typecheck.check_program prog;
-        let small =
-          Fuzz.minimize ~budget:!o.shrink_budget ~fault_seed ~key prog
-        in
-        print_string (Ifp_compiler.Ir_pp.program_to_string small);
-        exit 0)
-    | "--emit-seed" ->
-      (* debug aid: print the generated source for a raw case seed *)
-      let s = int64_arg "--emit-seed" in
-      let knobs = if !o.quick then Gen.quick else Gen.default in
-      print_string (Gen.source ~knobs ~seed:s ());
-      exit 0
-    | "--fault-seed" -> o := { !o with fault_seed = int64_arg "--fault-seed" }
-    | "-h" | "--help" -> usage ()
-    | s ->
-      Printf.eprintf "unknown option %s\n" s;
-      usage ());
-    incr i
-  done;
-  !o
+  !campaign
 
 (* ---------------- repro mode ---------------- *)
 
@@ -213,7 +146,7 @@ let print_sig_diff a b =
   in
   go la lb
 
-let repro opts target =
+let repro target =
   let path =
     if Sys.file_exists target && not (Sys.is_directory target) then target
     else
@@ -222,9 +155,9 @@ let repro opts target =
         List.filter
           (fun (d, _) -> String.length target <= String.length d
                          && String.sub d 0 (String.length target) = target)
-          (Fuzz.corpus_entries ~dir:opts.corpus)
+          (Fuzz.corpus_entries ~dir:!corpus)
       with
-      | [ (d, _) ] -> Filename.concat opts.corpus (d ^ ".minic")
+      | [ (d, _) ] -> Filename.concat !corpus (d ^ ".minic")
       | [] ->
         Printf.eprintf "repro: no file and no corpus entry matching %s\n" target;
         exit 2
@@ -235,7 +168,7 @@ let repro opts target =
   in
   let src = In_channel.with_open_text path In_channel.input_all in
   Printf.printf "== repro %s (digest %s, fault seed %Ld) ==\n" path
-    (Fuzz.text_digest src) opts.fault_seed;
+    (Fuzz.text_digest src) !fault_seed;
   let prog =
     match Ifp_compiler.Parser.parse src with
     | exception Ifp_compiler.Parser.Parse_error (m, l) ->
@@ -301,7 +234,7 @@ let repro opts target =
       | [] -> ())
     matrix;
   (* and the oracle verdict *)
-  let failures, _ = Oracle.check ~fault_seed:opts.fault_seed prog in
+  let failures, _ = Oracle.check ~fault_seed:!fault_seed prog in
   if failures = [] then begin
     Printf.printf "\nall oracles agree: no divergence\n";
     exit 0
@@ -318,118 +251,96 @@ let repro opts target =
 (* ---------------- campaign mode ---------------- *)
 
 let () =
-  let opts = parse_opts Sys.argv in
-  (match opts.repro with Some t -> repro opts t | None -> ());
-  let knobs = if opts.quick then Gen.quick else Gen.default in
-  let cache =
-    Option.map
-      (fun dir -> Rcache.create ?max_bytes:opts.cache_max_bytes ~dir ())
-      opts.cache_dir
-  in
-  let stop = Cli.install_interrupt () in
-  let journal, replay = Cli.open_journal ~path:opts.journal ~resume:opts.resume in
-  let log, log_truncated = Cli.open_log ~path:opts.log_path ~resume:opts.resume in
-  Cli.emit_resumed log ~replay ~log_truncated;
+  let campaign = parse_opts () in
+  Option.iter repro !repro_target;
+  let knobs = if !quick then Gen.quick else Gen.default in
+  let session = Cli.open_campaign campaign in
   let seen = Hashtbl.create 16 in
   (* corpus entries already present count as known, not new *)
   List.iter
     (fun (d, _) -> Hashtbl.replace seen d ())
-    (Fuzz.corpus_entries ~dir:opts.corpus);
+    (Fuzz.corpus_entries ~dir:!corpus);
   let total_cases = ref 0 in
   let total_divergent = ref 0 in
   let new_digests = ref [] in
   let agg = ref [] in
-  let interrupted = ref false in
   let dry_rounds = ref 0 in
   let round = ref 0 in
-  while
-    (not !interrupted) && !round < opts.rounds && !dry_rounds < opts.dry
-  do
+  while !round < !rounds && !dry_rounds < !dry do
     let r = !round in
     let jobs =
-      List.init opts.cases (fun idx ->
-          Fuzz.job ~knobs ~campaign_seed:opts.seed ~round:r ~idx)
+      List.init !cases (fun idx ->
+          Fuzz.job ~knobs ~campaign_seed:!seed ~round:r ~idx)
     in
     let outcomes, stats =
-      Engine.run ~workers:opts.workers ?cache ?journal ~log ~stop
-        ~retries:opts.retries ?job_timeout:opts.timeout ~runner:Fuzz.runner
-        jobs
+      Cli.run_campaign session
+        ~hint:(Printf.sprintf "fuzz campaign interrupted in round %d" r)
+        ~runner:Fuzz.runner jobs
     in
     agg := stats :: !agg;
     total_cases := !total_cases + stats.Engine.completed;
-    if stats.Engine.interrupted then interrupted := true
-    else begin
-      let divergent =
-        Array.to_list outcomes
-        |> List.filter_map (fun (o : Engine.outcome) ->
-               match (o.Engine.status, o.Engine.result) with
-               | Engine.Done, Some res when Fuzz.failures_of res <> [] ->
-                 Some (o.Engine.job, Fuzz.failures_of res)
-               | _ -> None)
-      in
-      total_divergent := !total_divergent + List.length divergent;
-      let fresh = ref 0 in
-      List.iter
-        (fun ((j : Job.t), failures) ->
-          let keys = List.map Oracle.failure_key failures in
-          let fault_seed = j.Job.config.Vm.seed in
-          let minimized =
-            Fuzz.minimize ~budget:opts.shrink_budget ~fault_seed
-              ~key:(List.hd keys) j.Job.prog
+    let divergent =
+      Array.to_list outcomes
+      |> List.filter_map (fun (o : Engine.outcome) ->
+             match (o.Engine.status, o.Engine.result) with
+             | Engine.Done, Some res when Fuzz.failures_of res <> [] ->
+               Some (o.Engine.job, Fuzz.failures_of res)
+             | _ -> None)
+    in
+    total_divergent := !total_divergent + List.length divergent;
+    let fresh = ref 0 in
+    List.iter
+      (fun ((j : Job.t), failures) ->
+        let keys = List.map Oracle.failure_key failures in
+        let fault_seed = j.Job.config.Vm.seed in
+        let minimized =
+          Fuzz.minimize ~budget:!shrink_budget ~fault_seed
+            ~key:(List.hd keys) j.Job.prog
+        in
+        let text = Ifp_compiler.Ir_pp.program_to_string minimized in
+        let digest = Fuzz.text_digest text in
+        if not (Hashtbl.mem seen digest) then begin
+          Hashtbl.replace seen digest ();
+          incr fresh;
+          new_digests := digest :: !new_digests;
+          let d =
+            Fuzz.corpus_write ~dir:!corpus ~src:text ~seed:fault_seed
+              ~keys
           in
-          let text = Ifp_compiler.Ir_pp.program_to_string minimized in
-          let digest = Fuzz.text_digest text in
-          if not (Hashtbl.mem seen digest) then begin
-            Hashtbl.replace seen digest ();
-            incr fresh;
-            new_digests := digest :: !new_digests;
-            let d =
-              Fuzz.corpus_write ~dir:opts.corpus ~src:text ~seed:fault_seed
-                ~keys
-            in
-            Printf.printf
-              "  counterexample %s (%s) minimized to %d lines -> %s/%s.minic\n%!"
-              j.Job.name (List.hd keys)
-              (List.length (String.split_on_char '\n' text))
-              opts.corpus d
-          end)
-        divergent;
-      if !fresh = 0 then incr dry_rounds else dry_rounds := 0;
-      Printf.printf
-        "round %d: %d cases, %d divergent, %d new counterexample(s), %d \
-         cache/journal hits (%.1fs)%s\n%!"
-        r (List.length jobs) (List.length divergent) !fresh
-        (stats.Engine.cache_hits + stats.Engine.journal_replays)
-        stats.Engine.wall_seconds
-        (if !fresh = 0 then Printf.sprintf " [dry %d/%d]" !dry_rounds opts.dry
-         else "")
-    end;
+          Printf.printf
+            "  counterexample %s (%s) minimized to %d lines -> %s/%s.minic\n%!"
+            j.Job.name (List.hd keys)
+            (List.length (String.split_on_char '\n' text))
+            !corpus d
+        end)
+      divergent;
+    if !fresh = 0 then incr dry_rounds else dry_rounds := 0;
+    Printf.printf
+      "round %d: %d cases, %d divergent, %d new counterexample(s), %d \
+       cache/journal hits (%.1fs)%s\n%!"
+      r (List.length jobs) (List.length divergent) !fresh
+      (stats.Engine.cache_hits + stats.Engine.journal_replays)
+      stats.Engine.wall_seconds
+      (if !fresh = 0 then Printf.sprintf " [dry %d/%d]" !dry_rounds !dry
+       else "");
     incr round
   done;
-  if !interrupted then
-    Cli.finish
-      ~hint:
-        (Printf.sprintf "fuzz campaign interrupted in round %d%s" (!round - 1)
-           (match opts.journal with
-           | Some p -> Printf.sprintf "; resume with --resume %s" p
-           | None -> ""))
-      ~journal ~log ~interrupted:true ();
   let stats_sum f = List.fold_left (fun acc s -> acc + f s) 0 !agg in
   let open Events in
-  Events.write_json_file ~path:opts.out
+  Events.write_json_file ~path:!out
     (Obj
        [
          ("bench", String "ifp_fuzz");
-         ("seed", String (Int64.to_string opts.seed));
-         ("quick", Bool opts.quick);
+         ("seed", String (Int64.to_string !seed));
+         ("quick", Bool !quick);
          ("rounds_run", Int !round);
-         ("cases_per_round", Int opts.cases);
+         ("cases_per_round", Int !cases);
          ("programs", Int !total_cases);
          ("divergent", Int !total_divergent);
          ("new_counterexamples", Int (List.length !new_digests));
          ( "corpus",
            List (List.rev_map (fun d -> String d) !new_digests) );
-         ("dried_out", Bool (!dry_rounds >= opts.dry));
+         ("dried_out", Bool (!dry_rounds >= !dry));
          ("model_digest", String Job.model_digest);
          ( "campaign",
            Obj
@@ -453,13 +364,9 @@ let () =
      wrote %s\n"
     !total_cases !total_divergent
     (List.length !new_digests)
-    (if !dry_rounds >= opts.dry then
+    (if !dry_rounds >= !dry then
        Printf.sprintf " — dried out after %d quiet round(s)" !dry_rounds
      else "")
-    opts.out;
+    !out;
   (* the CI gate: a fuzz run must end with zero unexplained divergences *)
-  if !total_divergent > 0 then begin
-    Cli.finish ~journal ~log ~interrupted:false ();
-    exit 1
-  end
-  else Cli.finish ~journal ~log ~interrupted:false ()
+  Cli.close_campaign ~code:(if !total_divergent > 0 then 1 else 0) session

@@ -2,79 +2,35 @@
    suite under the chosen configuration and report detection results.
 
    The 2x72 case programs are dispatched through the lib/campaign engine,
-   so runs parallelise with -j N and repeat invocations hit the on-disk
-   result cache.
+   so runs parallelise over worker domains and repeat invocations hit
+   the on-disk result cache.
 
-   With --journal the campaign is crash-safe (write-ahead journal of
-   completed cases); --resume JOURNAL replays it, and SIGINT/SIGTERM
+   With a journal the campaign is crash-safe (write-ahead journal of
+   completed cases); resuming from it replays them, and SIGINT/SIGTERM
    drain gracefully (exit 130, resumable).
 
-   Usage: ifp_juliet [CONFIG] [-v] [-j N] [--cache-dir DIR] [--no-cache]
-                     [--journal FILE] [--resume FILE] [--log FILE] *)
+   Usage: ifp_juliet [CONFIG] [-v] [CAMPAIGN FLAGS]
+   CONFIG is a name from Core.Report.named_configs (default: wrapped).
+   The campaign flags (workers, cache, log, watchdog, retries, journal
+   and resume) are those of Ifp_campaign.Cli; --help lists them all. *)
 
 module Job = Ifp_campaign.Job
 module Engine = Ifp_campaign.Engine
-module Rcache = Ifp_campaign.Cache
-module Events = Ifp_campaign.Events
 module Cli = Ifp_campaign.Cli
 
-let config_of = function
-  | "baseline" -> Core.Vm.baseline
-  | "subheap" -> Core.Vm.ifp_subheap
-  | "wrapped" -> Core.Vm.ifp_wrapped
-  | "subheap-np" -> Core.Vm.no_promote Core.Vm.Alloc_subheap
-  | "wrapped-np" -> Core.Vm.no_promote Core.Vm.Alloc_wrapped
-  | "mixed" -> Core.Vm.ifp_mixed
-  | "no-narrowing" -> Core.Vm.no_narrowing Core.Vm.Alloc_subheap
-  | s ->
-    Printf.eprintf "unknown config %s\n" s;
-    exit 1
-
 let () =
-  let cfg_name = ref "wrapped" in
+  let cfg = ref ("wrapped", Core.Vm.ifp_wrapped) in
   let verbose = ref false in
-  let workers = ref 1 in
-  let cache_dir = ref (Some ".ifp-cache") in
-  let cache_max_bytes = ref None in
-  let log_path = ref None in
-  let journal_path = ref None in
-  let resume = ref false in
-  let argv = Sys.argv in
-  let i = ref 1 in
-  let next what =
-    incr i;
-    if !i >= Array.length argv then (
-      Printf.eprintf "missing argument to %s\n" what;
-      exit 1)
-    else argv.(!i)
-  in
-  while !i < Array.length argv do
-    (match argv.(!i) with
-    | "-v" -> verbose := true
-    | "-j" | "--jobs" ->
-      workers := max 1 (int_of_string_opt (next "-j") |> Option.value ~default:1)
-    | "--cache-dir" -> cache_dir := Some (next "--cache-dir")
-    | "--no-cache" -> cache_dir := None
-    | "--cache-max-bytes" -> (
-      let s = next "--cache-max-bytes" in
-      match Cli.parse_bytes s with
-      | Some b -> cache_max_bytes := Some b
-      | None ->
-        Printf.eprintf "bad --cache-max-bytes argument %S\n" s;
-        exit 1)
-    | "--log" -> log_path := Some (next "--log")
-    | "--journal" -> journal_path := Some (next "--journal")
-    | "--resume" ->
-      journal_path := Some (next "--resume");
-      resume := true
-    | s when String.length s > 0 && s.[0] = '-' ->
-      Printf.eprintf "unknown option %s\n" s;
-      exit 1
-    | name -> cfg_name := name);
-    incr i
-  done;
-  let cfg_name = !cfg_name in
-  let config = config_of cfg_name in
+  let campaign = ref Cli.campaign_defaults in
+  Cli.parse
+    ~anon:(fun name ->
+      cfg := (name, Cli.lookup "config" Core.Report.named_configs name))
+    (("-v", Arg.Set verbose, " list every case, not only the failures")
+    :: Cli.campaign_specs campaign)
+    ("usage: ifp_juliet [CONFIG] [OPTIONS]\nCONFIG: "
+    ^ String.concat " " (List.map fst Core.Report.named_configs)
+    ^ " (default: wrapped)");
+  let cfg_name, config = !cfg in
   let cases = Ifp_juliet.Juliet.all_cases () in
   let job_name (c : Ifp_juliet.Juliet.case) which =
     Printf.sprintf "juliet/%s/%s/%s" c.id which cfg_name
@@ -90,27 +46,10 @@ let () =
         ])
       cases
   in
-  let cache =
-    Option.map
-      (fun dir -> Rcache.create ?max_bytes:!cache_max_bytes ~dir ())
-      !cache_dir
+  let session = Cli.open_campaign !campaign in
+  let outcomes, _ =
+    Cli.run_campaign session ~hint:"juliet campaign interrupted" jobs
   in
-  let stop = Cli.install_interrupt () in
-  let journal, replay = Cli.open_journal ~path:!journal_path ~resume:!resume in
-  let log, log_truncated = Cli.open_log ~path:!log_path ~resume:!resume in
-  Cli.emit_resumed log ~replay ~log_truncated;
-  let outcomes, stats =
-    Engine.run ~workers:!workers ?cache ?journal ~log ~stop jobs
-  in
-  if stats.Engine.interrupted then
-    Cli.finish
-      ~hint:
-        (Printf.sprintf "juliet campaign interrupted: %d skipped%s"
-           stats.Engine.skipped
-           (match !journal_path with
-           | Some p -> Printf.sprintf "; resume with --resume %s" p
-           | None -> ""))
-      ~journal ~log ~interrupted:true ();
   let tbl = Hashtbl.create 256 in
   Array.iter
     (fun (o : Engine.outcome) -> Hashtbl.replace tbl o.job.Job.name o)
@@ -144,4 +83,4 @@ let () =
   Printf.printf
     "\nsummary: %d/%d bad cases detected, %d missed, %d good-case failures\n"
     summary.detected summary.total summary.missed summary.good_failures;
-  Cli.finish ~journal ~log ~interrupted:false ()
+  Cli.close_campaign session

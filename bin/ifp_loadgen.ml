@@ -18,9 +18,12 @@
 
    Usage: ifp_loadgen [--socket PATH] [--clients N] [-n JOBS]
                       [--seeds N] [--juliet N] [--out FILE]
-                      [--no-verify] [--quiet] *)
+                      [--no-verify] [--quiet] [--via-chaos SEED]
+                      [--chaos-{drop,corrupt,delay,truncate,dribble,dup} R]
+                      [--resilient] [--budget SECS] *)
 
 module Job = Ifp_campaign.Job
+module Cli = Ifp_campaign.Cli
 module Engine = Ifp_campaign.Engine
 module Events = Ifp_campaign.Events
 module Vm = Ifp_vm.Vm
@@ -36,132 +39,81 @@ module Chaosproxy = Ifp_service.Chaosproxy
 
 (* ---------------- options ---------------- *)
 
-type opts = {
-  socket : string;
-  clients : int;
-  jobs : int;
-  seeds : int;  (** fault-plan seeds per class x variant *)
-  juliet : int;  (** Juliet cases in the mix (good+bad each) *)
-  out : string;
-  verify : bool;
-  quiet : bool;
-  chaos_seed : int64 option;  (** Some = interpose the chaos proxy *)
-  chaos_drop : float;
-  chaos_corrupt : float;
-  chaos_delay : float;
-  chaos_truncate : float;
-  chaos_dribble : float;
-  chaos_dup : float;
-  resilient : bool;  (** children use Client.Resilient *)
-  budget : float;  (** per-submit wall-clock budget (resilient mode) *)
-}
+let socket = ref "ifp-service.sock" and clients = ref 2 and n_jobs = ref 10_000
+let seeds = ref 2 (* fault-plan seeds per class x variant *)
+let juliet = ref 8 (* Juliet cases in the mix (good+bad each) *)
+let out = ref "BENCH_service.json" and verify = ref true and quiet = ref false
+let chaos_seed = ref None (* Some = interpose the chaos proxy *)
+let chaos_drop = ref 0.02 and chaos_corrupt = ref 0.02
+let chaos_delay = ref 0.02 and chaos_truncate = ref 0.01
+let chaos_dribble = ref 0.01 and chaos_dup = ref 0.01
+let resilient = ref false (* children use Client.Resilient *)
+let budget = ref 120.0 (* per-submit wall-clock budget (resilient mode) *)
 
-let default_opts =
-  {
-    socket = "ifp-service.sock";
-    clients = 2;
-    jobs = 10_000;
-    seeds = 2;
-    juliet = 8;
-    out = "BENCH_service.json";
-    verify = true;
-    quiet = false;
-    chaos_seed = None;
-    chaos_drop = 0.02;
-    chaos_corrupt = 0.02;
-    chaos_delay = 0.02;
-    chaos_truncate = 0.01;
-    chaos_dribble = 0.01;
-    chaos_dup = 0.01;
-    resilient = false;
-    budget = 120.0;
-  }
-
-let usage () =
-  prerr_endline
-    "usage: ifp_loadgen [--socket PATH] [--clients N] [-n JOBS]\n\
-    \                   [--seeds N] [--juliet N] [--out FILE]\n\
-    \                   [--no-verify] [--quiet]\n\
-    \                   [--via-chaos SEED] [--chaos-drop R]\n\
-    \                   [--chaos-corrupt R] [--chaos-delay R]\n\
-    \                   [--chaos-truncate R] [--chaos-dribble R]\n\
-    \                   [--chaos-dup R] [--resilient] [--budget SECS]\n\
-     Hammers a running ifp_serviced with a mixed job stream from N\n\
-     forked client processes and writes throughput + latency quantiles\n\
-     to --out (default BENCH_service.json).\n\
-     --via-chaos SEED interposes a deterministic network-chaos proxy\n\
-     between the clients and the daemon (per-chunk fault rates set by\n\
-     the --chaos-* flags); --resilient switches the clients to the\n\
-     reconnecting circuit-breaker client so the run converges anyway.";
-  exit 1
-
-let parse_opts argv =
-  let o = ref default_opts in
-  let i = ref 1 in
-  let next what =
-    incr i;
-    if !i >= Array.length argv then (
-      Printf.eprintf "missing argument to %s\n" what;
-      usage ())
-    else argv.(!i)
+(* -n/--jobs is a job count here, not the campaign -j worker flag *)
+let parse_opts () =
+  let rate r =
+    Cli.checked "a rate in [0,1]"
+      (fun s ->
+        match float_of_string_opt s with
+        | Some x when x >= 0.0 && x <= 1.0 -> Some x
+        | _ -> None)
+      (( := ) r)
   in
-  let int_arg what =
-    let s = next what in
-    match int_of_string_opt s with
-    | Some n when n >= 0 -> n
-    | _ ->
-      Printf.eprintf "bad %s argument %S\n" what s;
-      usage ()
+  let chaos name what r =
+    ( "--chaos-" ^ name,
+      rate r,
+      Printf.sprintf "R per-chunk rate of %s (default %g)" what !r )
   in
-  while !i < Array.length argv do
-    (match argv.(!i) with
-    | "--socket" -> o := { !o with socket = next "--socket" }
-    | "--clients" -> o := { !o with clients = max 1 (int_arg "--clients") }
-    | "-n" | "--jobs" -> o := { !o with jobs = max 1 (int_arg "-n") }
-    | "--seeds" -> o := { !o with seeds = max 1 (int_arg "--seeds") }
-    | "--juliet" -> o := { !o with juliet = int_arg "--juliet" }
-    | "--out" -> o := { !o with out = next "--out" }
-    | "--verify" -> o := { !o with verify = true }
-    | "--no-verify" -> o := { !o with verify = false }
-    | "--quiet" -> o := { !o with quiet = true }
-    | "--via-chaos" -> (
-      let s = next "--via-chaos" in
-      match Int64.of_string_opt s with
-      | Some seed -> o := { !o with chaos_seed = Some seed }
-      | None ->
-        Printf.eprintf "bad --via-chaos seed %S\n" s;
-        usage ())
-    | ( "--chaos-drop" | "--chaos-corrupt" | "--chaos-delay"
-      | "--chaos-truncate" | "--chaos-dribble" | "--chaos-dup" ) as what -> (
-      let s = next what in
-      match float_of_string_opt s with
-      | Some r when r >= 0.0 && r <= 1.0 ->
-        o :=
-          (match what with
-          | "--chaos-drop" -> { !o with chaos_drop = r }
-          | "--chaos-corrupt" -> { !o with chaos_corrupt = r }
-          | "--chaos-delay" -> { !o with chaos_delay = r }
-          | "--chaos-truncate" -> { !o with chaos_truncate = r }
-          | "--chaos-dribble" -> { !o with chaos_dribble = r }
-          | _ -> { !o with chaos_dup = r })
-      | _ ->
-        Printf.eprintf "bad %s rate %S\n" what s;
-        usage ())
-    | "--resilient" -> o := { !o with resilient = true }
-    | "--budget" -> (
-      let s = next "--budget" in
-      match float_of_string_opt s with
-      | Some b when b > 0.0 -> o := { !o with budget = b }
-      | _ ->
-        Printf.eprintf "bad --budget argument %S\n" s;
-        usage ())
-    | "-h" | "--help" -> usage ()
-    | s ->
-      Printf.eprintf "unknown option %s\n" s;
-      usage ());
-    incr i
-  done;
-  !o
+  let jobs = Cli.at_least_one (( := ) n_jobs) in
+  Cli.parse
+    [
+      ( "--socket",
+        Arg.Set_string socket,
+        "PATH the daemon's socket (default " ^ !socket ^ ")" );
+      ( "--clients",
+        Cli.at_least_one (( := ) clients),
+        Printf.sprintf "N forked client processes (default %d)" !clients );
+      ("-n", jobs, Printf.sprintf "N total submissions (default %d)" !n_jobs);
+      ("--jobs", jobs, "");
+      ( "--seeds",
+        Cli.at_least_one (( := ) seeds),
+        Printf.sprintf "N fault-plan seeds per class x variant (default %d)"
+          !seeds );
+      ( "--juliet",
+        Cli.nat (( := ) juliet),
+        Printf.sprintf "N Juliet cases in the mix (default %d)" !juliet );
+      ( "--out",
+        Arg.Set_string out,
+        "FILE aggregate destination (default " ^ !out ^ ")" );
+      ( "--verify",
+        Arg.Set verify,
+        " re-run every distinct job directly and compare (default)" );
+      ("--no-verify", Arg.Clear verify, " skip the direct re-run");
+      ("--quiet", Arg.Set quiet, " no progress output");
+      ( "--via-chaos",
+        Cli.int64 (fun seed -> chaos_seed := Some seed),
+        "SEED interpose the seeded network-chaos proxy" );
+      chaos "drop" "dropped connections" chaos_drop;
+      chaos "corrupt" "byte flips" chaos_corrupt;
+      chaos "delay" "delays" chaos_delay;
+      chaos "truncate" "truncated connections" chaos_truncate;
+      chaos "dribble" "slow-loris dribbles" chaos_dribble;
+      chaos "dup" "duplicated chunks" chaos_dup;
+      ( "--resilient",
+        Arg.Set resilient,
+        " reconnecting circuit-breaker clients" );
+      ( "--budget",
+        Cli.checked "a positive number of seconds"
+          (fun s ->
+            match float_of_string_opt s with
+            | Some b when b > 0.0 -> Some b
+            | _ -> None)
+          (( := ) budget),
+        Printf.sprintf "SECS per-submit budget, resilient mode (default %g)"
+          !budget );
+    ]
+    "usage: ifp_loadgen [OPTIONS]"
 
 (* ---------------- the distinct job mix ---------------- *)
 
@@ -227,10 +179,10 @@ let juliet_jobs ~count =
         ])
       cases
 
-let distinct_jobs opts =
+let distinct_jobs () =
   let jobs =
-    experiment_jobs () @ fault_jobs ~seeds:opts.seeds
-    @ juliet_jobs ~count:opts.juliet
+    experiment_jobs () @ fault_jobs ~seeds:!seeds
+    @ juliet_jobs ~count:!juliet
   in
   if jobs = [] then (
     prerr_endline "ifp_loadgen: empty job mix";
@@ -259,7 +211,7 @@ type child_summary = {
    every client sees the full mix and distinct jobs interleave across
    tenants (maximal shard-lock and scheduler contention). [socket] is
    the daemon — or the chaos proxy standing in front of it. *)
-let run_child ~opts ~socket ~jobs ~k ~out_file =
+let run_child ~socket ~jobs ~k ~out_file =
   let tenant = "t" ^ string_of_int k in
   let weight = 1 + (k mod 2) in
   let n_distinct = Array.length jobs in
@@ -295,25 +247,25 @@ let run_child ~opts ~socket ~jobs ~k ~out_file =
         :: !errors
   in
   (try
-     if opts.resilient then begin
+     if !resilient then begin
        (* the self-healing client: survives the chaos proxy and daemon
           restarts by reconnecting + idempotently re-submitting. The
           per-frame io deadline scales down with the call budget: a
           dropped frame must cost a slice of the budget, not the 30 s
           default (one drop would otherwise eat half of --budget 60) *)
-       let io_timeout = Float.max 1.0 (Float.min 30.0 (opts.budget /. 12.0)) in
+       let io_timeout = Float.max 1.0 (Float.min 30.0 (!budget /. 12.0)) in
        let rt =
          Client.Resilient.create
            (Client.Resilient.config ~weight ~io_timeout
               ~connect_timeout:(Float.min 5.0 io_timeout)
-              ~call_budget:opts.budget ~socket ~tenant ())
+              ~call_budget:!budget ~socket ~tenant ())
        in
        let i = ref k in
-       while !i < opts.jobs do
+       while !i < !n_jobs do
          let job = jobs.(!i mod n_distinct) in
          let t0 = Unix.gettimeofday () in
          record job (Client.Resilient.submit rt job) t0;
-         i := !i + opts.clients
+         i := !i + !clients
        done;
        busy := Client.Resilient.busy_retries rt;
        reconnects := Client.Resilient.reconnects rt;
@@ -325,11 +277,11 @@ let run_child ~opts ~socket ~jobs ~k ~out_file =
      else begin
        let c = Client.connect ~weight ~socket ~tenant () in
        let i = ref k in
-       while !i < opts.jobs do
+       while !i < !n_jobs do
          let job = jobs.(!i mod n_distinct) in
          let t0 = Unix.gettimeofday () in
          record job (Client.submit_wait ~on_busy:(fun _ -> incr busy) c job) t0;
-         i := !i + opts.clients
+         i := !i + !clients
        done;
        Client.close c
      end
@@ -382,18 +334,18 @@ let run_proxy_child ~plan ~listen ~upstream ~stats_file =
   close_out oc;
   Unix._exit 0
 
-let start_chaos_proxy opts seed =
+let start_chaos_proxy seed =
   let plan =
-    Chaosproxy.plan ~delay_rate:opts.chaos_delay ~corrupt_rate:opts.chaos_corrupt
-      ~drop_rate:opts.chaos_drop ~truncate_rate:opts.chaos_truncate
-      ~dribble_rate:opts.chaos_dribble ~duplicate_rate:opts.chaos_dup ~seed ()
+    Chaosproxy.plan ~delay_rate:!chaos_delay ~corrupt_rate:!chaos_corrupt
+      ~drop_rate:!chaos_drop ~truncate_rate:!chaos_truncate
+      ~dribble_rate:!chaos_dribble ~duplicate_rate:!chaos_dup ~seed ()
   in
-  let listen = opts.socket ^ ".chaos" in
+  let listen = !socket ^ ".chaos" in
   let stats_file = Filename.temp_file "ifp-chaos" ".stats" in
   flush stdout;
   flush stderr;
   match Unix.fork () with
-  | 0 -> run_proxy_child ~plan ~listen ~upstream:opts.socket ~stats_file
+  | 0 -> run_proxy_child ~plan ~listen ~upstream:!socket ~stats_file
   | pid ->
     (* wait for the proxy socket before unleashing the clients *)
     let rec wait n =
@@ -453,30 +405,30 @@ let () =
      inherit it. *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
    with Invalid_argument _ | Sys_error _ -> ());
-  let opts = parse_opts Sys.argv in
-  let jobs = distinct_jobs opts in
-  if not opts.quiet then
+  parse_opts ();
+  let jobs = distinct_jobs () in
+  if not !quiet then
     Printf.printf
       "ifp_loadgen: %d jobs (%d distinct) across %d clients -> %s\n%!"
-      opts.jobs (Array.length jobs) opts.clients opts.socket;
-  let chaos = Option.map (start_chaos_proxy opts) opts.chaos_seed in
+      !n_jobs (Array.length jobs) !clients !socket;
+  let chaos = Option.map start_chaos_proxy !chaos_seed in
   let client_socket =
     match chaos with
     | Some (_, listen, _, fp) ->
-      if not opts.quiet then
+      if not !quiet then
         Printf.printf "ifp_loadgen: chaos proxy %s on %s -> %s\n%!" fp listen
-          opts.socket;
+          !socket;
       listen
-    | None -> opts.socket
+    | None -> !socket
   in
   let t_start = Unix.gettimeofday () in
   let children =
-    List.init opts.clients (fun k ->
+    List.init !clients (fun k ->
         let out_file = Filename.temp_file "ifp-loadgen" ".child" in
         flush stdout;
         flush stderr;
         match Unix.fork () with
-        | 0 -> run_child ~opts ~socket:client_socket ~jobs ~k ~out_file
+        | 0 -> run_child ~socket:client_socket ~jobs ~k ~out_file
         | pid -> (pid, out_file))
   in
   let child_failed = ref false in
@@ -502,7 +454,7 @@ let () =
   in
   let wall = Unix.gettimeofday () -. t_start in
   let chaos_stats = Option.map stop_chaos_proxy chaos in
-  if List.length summaries < opts.clients then child_failed := true;
+  if List.length summaries < !clients then child_failed := true;
   List.iter
     (fun s ->
       List.iter
@@ -554,8 +506,8 @@ let () =
      same job directly through the engine's runner in this process *)
   let verify_checked = ref 0 in
   let verify_mismatches = ref 0 in
-  if opts.verify then begin
-    if not opts.quiet then
+  if !verify then begin
+    if not !quiet then
       Printf.printf "ifp_loadgen: verifying %d distinct jobs vs direct run...\n%!"
         (Array.length jobs);
     let seen = Hashtbl.create 64 in
@@ -584,7 +536,7 @@ let () =
   (* the daemon's own view: shard hit rates, queue depths, utilization *)
   let server_stats =
     try
-      let c = Client.connect ~socket:opts.socket ~tenant:"loadgen-stats" () in
+      let c = Client.connect ~socket:!socket ~tenant:"loadgen-stats" () in
       let json = Client.stats c in
       Client.close c;
       json
@@ -606,9 +558,9 @@ let () =
     Events.Obj
       [
         ("bench", Events.String "service");
-        ("socket", Events.String opts.socket);
-        ("clients", Events.Int opts.clients);
-        ("jobs_requested", Events.Int opts.jobs);
+        ("socket", Events.String !socket);
+        ("clients", Events.Int !clients);
+        ("jobs_requested", Events.Int !n_jobs);
         ("jobs_completed", Events.Int total_done);
         ("distinct_jobs", Events.Int (Array.length jobs));
         ("wall_s", Events.Float wall);
@@ -619,7 +571,7 @@ let () =
         ("non_done_completions", Events.Int total_not_done);
         ("cross_client_mismatches", Events.Int !consistency_errors);
         ( "verify",
-          if opts.verify then
+          if !verify then
             Events.Obj
               [
                 ("checked", Events.Int !verify_checked);
@@ -628,7 +580,7 @@ let () =
           else Events.Null );
         ("tenants", Events.List (List.map tenant_json summaries));
         ( "chaos",
-          match (chaos_stats, opts.chaos_seed) with
+          match (chaos_stats, !chaos_seed) with
           | Some stats, Some seed ->
             Events.Obj
               [
@@ -637,7 +589,7 @@ let () =
               ]
           | _ -> Events.Null );
         ( "resilience",
-          if opts.resilient then
+          if !resilient then
             Events.Obj
               [
                 ("reconnects", Events.Int total_reconnects);
@@ -650,8 +602,8 @@ let () =
         ("server", server_stats);
       ]
   in
-  Events.write_json_file ~path:opts.out bench;
-  if not opts.quiet then begin
+  Events.write_json_file ~path:!out bench;
+  if not !quiet then begin
     let sorted = Array.copy all_lat in
     Array.sort compare sorted;
     Printf.printf
@@ -664,19 +616,19 @@ let () =
     Printf.printf
       "ifp_loadgen: %d busy rejections, %d client-observed cache hits; \
        wrote %s\n"
-      total_busy total_hits opts.out;
-    if opts.resilient then
+      total_busy total_hits !out;
+    if !resilient then
       Printf.printf
         "ifp_loadgen: resilience: %d reconnects, %d resubmits, breaker \
          %d/%d/%d (open/half-open/close)\n"
         total_reconnects total_resubmits breaker_opens breaker_half_opens
         breaker_closes;
-    if opts.verify then
+    if !verify then
       Printf.printf "ifp_loadgen: verify: %d checked, %d mismatches\n"
         !verify_checked !verify_mismatches
   end;
   let failed =
-    !child_failed || total_done < opts.jobs || !consistency_errors > 0
+    !child_failed || total_done < !n_jobs || !consistency_errors > 0
     || !verify_mismatches > 0 || total_not_done > 0
   in
   exit (if failed then 1 else 0)

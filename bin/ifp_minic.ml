@@ -2,35 +2,40 @@
 
      ifp_minic FILE [CONFIG] [--dump-ir] [--dump-instrumented] [--trace]
 
-   CONFIG is one of baseline | subheap | wrapped | mixed | subheap-np |
-   wrapped-np | no-narrowing | infer-types (default: subheap). *)
+   CONFIG is a name from Core.Report.named_configs (default: subheap). *)
 
-let config_of = function
-  | "baseline" -> Core.Vm.baseline
-  | "subheap" -> Core.Vm.ifp_subheap
-  | "wrapped" -> Core.Vm.ifp_wrapped
-  | "mixed" -> Core.Vm.ifp_mixed
-  | "subheap-np" -> Core.Vm.no_promote Core.Vm.Alloc_subheap
-  | "wrapped-np" -> Core.Vm.no_promote Core.Vm.Alloc_wrapped
-  | "no-narrowing" -> Core.Vm.no_narrowing Core.Vm.Alloc_subheap
-  | "infer-types" -> { Core.Vm.ifp_subheap with infer_alloc_types = true }
-  | s ->
-    Printf.eprintf "unknown config %s\n" s;
-    exit 2
+module Cli = Ifp_campaign.Cli
 
 let () =
-  let args = Array.to_list Sys.argv in
-  let flags, positional =
-    List.partition (fun a -> String.length a > 2 && String.sub a 0 2 = "--")
-      (List.tl args)
+  let file = ref None and cfg = ref None in
+  let dump_ir = ref false and dump_instrumented = ref false in
+  let trace = ref false in
+  Cli.parse
+    ~anon:(fun a ->
+      match (!file, !cfg) with
+      | None, _ -> file := Some a
+      | Some _, None ->
+        cfg := Some (a, Cli.lookup "config" Core.Report.named_configs a)
+      | Some _, Some _ -> raise (Arg.Bad ("unexpected argument " ^ a)))
+    [
+      ("--dump-ir", Arg.Set dump_ir, " print the parsed program");
+      ( "--dump-instrumented",
+        Arg.Set dump_instrumented,
+        " print the program after the instrumentation pass" );
+      ("--trace", Arg.Set trace, " print the first 64 metadata events");
+    ]
+    ("usage: ifp_minic FILE [CONFIG] [OPTIONS]\nCONFIG: "
+    ^ String.concat " " (List.map fst Core.Report.named_configs)
+    ^ " (default: subheap)");
+  let file =
+    match !file with
+    | Some f -> f
+    | None ->
+      prerr_endline "ifp_minic: missing FILE (see --help)";
+      exit 1
   in
-  let file, cfg_name =
-    match positional with
-    | [ f ] -> (f, "subheap")
-    | [ f; c ] -> (f, c)
-    | _ ->
-      Printf.eprintf "usage: ifp_minic FILE [CONFIG] [--dump-ir] [--dump-instrumented]\n";
-      exit 2
+  let cfg_name, config =
+    Option.value !cfg ~default:("subheap", Core.Vm.ifp_subheap)
   in
   let src = In_channel.with_open_text file In_channel.input_all in
   let prog =
@@ -46,16 +51,13 @@ let () =
    with Core.Typecheck.Type_error m ->
      Printf.eprintf "%s: type error: %s\n" file m;
      exit 1);
-  if List.mem "--dump-ir" flags then
+  if !dump_ir then
     print_string (Core.Ir_pp.program_to_string prog);
-  if List.mem "--dump-instrumented" flags then begin
+  if !dump_instrumented then begin
     let instr, _ = Core.Instrument.run prog in
     print_string (Core.Ir_pp.program_to_string instr)
   end;
-  let config = config_of cfg_name in
-  let config =
-    if List.mem "--trace" flags then { config with trace_limit = 64 } else config
-  in
+  let config = if !trace then { config with trace_limit = 64 } else config in
   let r = Core.Vm.run ~config prog in
   List.iter
     (fun (ev : Core.Vm.trace_event) ->

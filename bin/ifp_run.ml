@@ -1,27 +1,12 @@
 (* Run one workload (or all) under a chosen configuration and print its
-   dynamic statistics. *)
+   dynamic statistics:
 
-open Cmdliner
+     ifp_run [WORKLOAD|all] [-c|--variant CONFIG]... [--engine ENGINE] [-v]
 
-let variant_of_string = function
-  | "baseline" -> Ok Core.Vm.baseline
-  | "subheap" -> Ok Core.Vm.ifp_subheap
-  | "wrapped" -> Ok Core.Vm.ifp_wrapped
-  | "subheap-np" -> Ok (Core.Vm.no_promote Core.Vm.Alloc_subheap)
-  | "wrapped-np" -> Ok (Core.Vm.no_promote Core.Vm.Alloc_wrapped)
-  | "mixed" -> Ok Core.Vm.ifp_mixed
-  | "no-narrowing" -> Ok (Core.Vm.no_narrowing Core.Vm.Alloc_subheap)
-  | "infer-types" -> Ok { Core.Vm.ifp_subheap with infer_alloc_types = true }
-  | s -> Error (`Msg ("unknown variant " ^ s))
+   CONFIG is a name from Core.Report.named_configs (default: baseline,
+   subheap and wrapped); ENGINE is one of Core.Engines.names. *)
 
-let engine_of_string s =
-  match Core.Engines.of_string s with
-  | Some e -> Ok e
-  | None ->
-    Error
-      (`Msg
-        (Printf.sprintf "unknown engine %s (expected %s)" s
-           (String.concat " | " Core.Engines.names)))
+module Cli = Ifp_campaign.Cli
 
 let run_one ~verbose name cfg_name cfg =
   match Ifp_workloads.Registry.find name with
@@ -65,58 +50,49 @@ let run_one ~verbose name cfg_name cfg =
            (List.map (fun (k, n) -> Printf.sprintf "%s=%d" k n) r.Vm.alloc_extra))
     end
 
-let main workload variants engine verbose =
+let () =
+  let workload = ref None and variants = ref [] in
+  let engine = ref Core.Vm.default_config.engine and verbose = ref false in
+  let variant =
+    Arg.Symbol
+      ( List.map fst Core.Report.named_configs,
+        fun v -> variants := !variants @ [ v ] )
+  in
+  Cli.parse
+    ~anon:(fun w ->
+      if !workload <> None then raise (Arg.Bad ("unexpected argument " ^ w));
+      workload := Some w)
+    [
+      ( "-c",
+        variant,
+        " configuration, alias --variant (repeatable; default: baseline, \
+         subheap, wrapped)" );
+      ("--variant", variant, "");
+      ( "--engine",
+        Arg.Symbol
+          ( Core.Engines.names,
+            fun e -> engine := Option.get (Core.Engines.of_string e) ),
+        " execution engine (all give identical results; default: "
+        ^ Core.Engines.to_string !engine ^ ")" );
+      ("-v", Arg.Set verbose, " print detailed counters, alias --verbose");
+      ("--verbose", Arg.Set verbose, "");
+    ]
+    "usage: ifp_run [WORKLOAD] [OPTIONS]\nWORKLOAD: a workload name, or all \
+     (the default)";
   let names =
-    match workload with
-    | "all" -> Ifp_workloads.Registry.names
-    | w -> [ w ]
+    match !workload with
+    | None | Some "all" -> Ifp_workloads.Registry.names
+    | Some w -> [ w ]
   in
   let variants =
-    match variants with
-    | [] -> [ "baseline"; "subheap"; "wrapped" ]
-    | vs -> vs
+    match !variants with [] -> [ "baseline"; "subheap"; "wrapped" ] | vs -> vs
   in
   List.iter
     (fun name ->
       List.iter
         (fun vname ->
-          match variant_of_string vname with
-          | Ok cfg -> run_one ~verbose name vname { cfg with Core.Vm.engine }
-          | Error (`Msg m) ->
-            Printf.eprintf "%s\n" m;
-            exit 1)
+          let cfg = List.assoc vname Core.Report.named_configs in
+          run_one ~verbose:!verbose name vname
+            { cfg with Core.Vm.engine = !engine })
         variants)
     names
-
-let workload_arg =
-  Arg.(value & pos 0 string "all" & info [] ~docv:"WORKLOAD"
-         ~doc:"Workload name, or 'all'.")
-
-let variants_arg =
-  Arg.(value & opt_all string [] & info [ "variant"; "c" ] ~docv:"VARIANT"
-         ~doc:
-           "baseline | subheap | wrapped | subheap-np | wrapped-np | mixed | \
-            no-narrowing | infer-types (repeatable)")
-
-let engine_arg =
-  let engine_conv =
-    Arg.conv
-      ( engine_of_string,
-        fun fmt e -> Format.pp_print_string fmt (Core.Engines.to_string e) )
-  in
-  Arg.(value & opt engine_conv Core.Vm.default_config.engine
-       & info [ "engine" ] ~docv:"ENGINE"
-           ~doc:
-             ("Execution engine: " ^ String.concat " | " Core.Engines.names
-            ^ ". All engines produce identical results; they differ only \
-               in host speed."))
-
-let verbose_arg =
-  Arg.(value & flag & info [ "verbose"; "v" ] ~doc:"Print detailed counters.")
-
-let cmd =
-  Cmd.v
-    (Cmd.info "ifp_run" ~doc:"Run an In-Fat Pointer benchmark workload")
-    Term.(const main $ workload_arg $ variants_arg $ engine_arg $ verbose_arg)
-
-let () = exit (Cmd.eval cmd)

@@ -7,11 +7,13 @@
    refused, the socket is unlinked, and the final stats snapshot is
    printed (and written to --stats-out) before a clean exit 0.
 
-   Usage: ifp_serviced [--socket PATH] [-j N] [--cache-dir DIR]
-                       [--no-cache] [--cache-max-bytes BYTES[k|M|G]]
-                       [--shards N] [--queue-depth N] [--retries N]
-                       [--timeout SECS] [--log FILE] [--stats-out FILE]
-                       [--ready-fd FD] *)
+   Usage: ifp_serviced [--socket PATH] [--shards N] [--queue-depth N]
+                       [--drain-timeout SECS] [--idle-timeout SECS]
+                       [--io-timeout SECS] [--poison-threshold N]
+                       [--stats-out FILE] [--ready-fd FD]
+                       [CAMPAIGN FLAGS]
+   with the campaign flags of Ifp_campaign.Cli (-j, also --workers,
+   --cache-dir, --journal, ...) except --resume; --help lists them. *)
 
 module Cli = Ifp_campaign.Cli
 module Events = Ifp_campaign.Events
@@ -19,146 +21,87 @@ module Journal = Ifp_campaign.Journal
 module Shard = Ifp_service.Shard
 module Server = Ifp_service.Server
 
-type opts = {
-  socket : string;
-  workers : int;
-  cache_dir : string option;
-  cache_max_bytes : int option;
-  shards : int;
-  queue_depth : int;
-  retries : int;
-  timeout : float option;
-  drain_timeout : float;
-  idle_timeout : float;
-  io_timeout : float;
-  poison_threshold : int;
-  journal_path : string option;
-  log_path : string option;
-  stats_out : string option;
-  ready_fd : int option;
-}
-
-let default_opts =
-  {
-    socket = "ifp-service.sock";
-    workers = 2;
-    cache_dir = Some ".ifp-service-cache";
-    cache_max_bytes = None;
-    shards = 8;
-    queue_depth = 64;
-    retries = 1;
-    timeout = None;
-    drain_timeout = 60.0;
-    idle_timeout = 60.0;
-    io_timeout = 30.0;
-    poison_threshold = 3;
-    journal_path = None;
-    log_path = Some "service.jsonl";
-    stats_out = None;
-    ready_fd = None;
-  }
-
-let usage () =
-  prerr_endline
-    "usage: ifp_serviced [--socket PATH] [-j N] [--cache-dir DIR]\n\
-    \                    [--no-cache] [--cache-max-bytes BYTES[k|M|G]]\n\
-    \                    [--shards N] [--queue-depth N] [--retries N]\n\
-    \                    [--timeout SECS] [--drain-timeout SECS]\n\
-    \                    [--idle-timeout SECS] [--io-timeout SECS]\n\
-    \                    [--poison-threshold N] [--journal FILE]\n\
-    \                    [--log FILE] [--no-log]\n\
-    \                    [--stats-out FILE] [--ready-fd FD]\n\
-     Serves experiment jobs over a Unix-domain socket until SIGTERM,\n\
-     then drains gracefully and exits 0. --ready-fd FD writes one byte\n\
-     to FD once the socket is listening (for supervisors and CI).\n\
-     --journal FILE gives crash-restart durability: completions are\n\
-     journaled before the reply, and a restarted daemon replays them\n\
-     byte-identically. --idle-timeout / --io-timeout reap idle and\n\
-     slow-loris connections; --poison-threshold quarantines a job\n\
-     digest after N worker crashes.";
-  exit 1
-
-let parse_opts argv =
-  let o = ref default_opts in
-  let i = ref 1 in
-  let next what =
-    incr i;
-    if !i >= Array.length argv then (
-      Printf.eprintf "missing argument to %s\n" what;
-      usage ())
-    else argv.(!i)
-  in
-  let int_arg what =
-    let s = next what in
-    match int_of_string_opt s with
-    | Some n when n >= 0 -> n
-    | _ ->
-      Printf.eprintf "bad %s argument %S\n" what s;
-      usage ()
-  in
-  while !i < Array.length argv do
-    (match argv.(!i) with
-    | "--socket" -> o := { !o with socket = next "--socket" }
-    | "-j" | "--jobs" | "--workers" -> o := { !o with workers = max 1 (int_arg "-j") }
-    | "--cache-dir" -> o := { !o with cache_dir = Some (next "--cache-dir") }
-    | "--no-cache" -> o := { !o with cache_dir = None }
-    | "--cache-max-bytes" -> (
-      let s = next "--cache-max-bytes" in
-      match Cli.parse_bytes s with
-      | Some b -> o := { !o with cache_max_bytes = Some b }
-      | None ->
-        Printf.eprintf "bad --cache-max-bytes argument %S\n" s;
-        usage ())
-    | "--shards" -> o := { !o with shards = max 1 (int_arg "--shards") }
-    | "--queue-depth" -> o := { !o with queue_depth = max 1 (int_arg "--queue-depth") }
-    | "--retries" -> o := { !o with retries = int_arg "--retries" }
-    | "--timeout" -> (
-      let s = next "--timeout" in
-      match float_of_string_opt s with
-      | Some t when t > 0.0 -> o := { !o with timeout = Some t }
-      | Some _ -> o := { !o with timeout = None }
-      | None ->
-        Printf.eprintf "bad --timeout argument %S\n" s;
-        usage ())
-    | "--drain-timeout" | "--idle-timeout" | "--io-timeout" ->
-      let what = argv.(!i) in
-      let s = next what in
-      (match float_of_string_opt s with
-      | Some t when t > 0.0 ->
-        o :=
-          (match what with
-          | "--drain-timeout" -> { !o with drain_timeout = t }
-          | "--idle-timeout" -> { !o with idle_timeout = t }
-          | _ -> { !o with io_timeout = t })
-      | _ ->
-        Printf.eprintf "bad %s argument %S\n" what s;
-        usage ())
-    | "--poison-threshold" ->
-      o := { !o with poison_threshold = max 1 (int_arg "--poison-threshold") }
-    | "--journal" -> o := { !o with journal_path = Some (next "--journal") }
-    | "--log" -> o := { !o with log_path = Some (next "--log") }
-    | "--no-log" -> o := { !o with log_path = None }
-    | "--stats-out" -> o := { !o with stats_out = Some (next "--stats-out") }
-    | "--ready-fd" -> o := { !o with ready_fd = Some (int_arg "--ready-fd") }
-    | "-h" | "--help" -> usage ()
-    | s ->
-      Printf.eprintf "unknown option %s\n" s;
-      usage ());
-    incr i
-  done;
-  !o
-
 let () =
-  let opts = parse_opts Sys.argv in
+  let socket = ref "ifp-service.sock" and shards = ref 8 in
+  let queue_depth = ref 64 and poison_threshold = ref 3 in
+  let drain_timeout = ref 60.0 and idle_timeout = ref 60.0 in
+  let io_timeout = ref 30.0 in
+  let stats_out = ref None and ready_fd = ref None in
+  let campaign =
+    ref
+      {
+        Cli.campaign_defaults with
+        workers = 2;
+        cache_dir = Some ".ifp-service-cache";
+        retries = 1;
+        log = Some "service.jsonl";
+      }
+  in
+  let secs r =
+    Cli.checked "a positive number of seconds"
+      (fun s ->
+        match float_of_string_opt s with
+        | Some t when t > 0.0 -> Some t
+        | _ -> None)
+      (( := ) r)
+  in
+  (* the campaign flags the daemon shares: all but --resume, since its
+     --journal is always resumed on restart *)
+  let shared =
+    List.filter (fun (k, _, _) -> k <> "--resume") (Cli.campaign_specs campaign)
+  in
+  Cli.parse
+    (( "--socket",
+       Arg.Set_string socket,
+       "PATH Unix-domain socket to listen on (default " ^ !socket ^ ")" )
+    :: ( "--workers",
+         Cli.at_least_one (fun n -> campaign := { !campaign with workers = n }),
+         "" )
+    :: shared
+    @ [
+        ( "--shards",
+          Cli.at_least_one (( := ) shards),
+          Printf.sprintf "N cache shards (default %d)" !shards );
+        ( "--queue-depth",
+          Cli.at_least_one (( := ) queue_depth),
+          Printf.sprintf "N per-tenant queue bound (default %d)" !queue_depth );
+        ( "--drain-timeout",
+          secs drain_timeout,
+          Printf.sprintf "SECS max graceful-drain wait (default %g)"
+            !drain_timeout );
+        ( "--idle-timeout",
+          secs idle_timeout,
+          Printf.sprintf "SECS reap idle connections after (default %g)"
+            !idle_timeout );
+        ( "--io-timeout",
+          secs io_timeout,
+          Printf.sprintf "SECS per-frame read/write deadline (default %g)"
+            !io_timeout );
+        ( "--poison-threshold",
+          Cli.at_least_one (( := ) poison_threshold),
+          Printf.sprintf "N worker crashes before quarantine (default %d)"
+            !poison_threshold );
+        ( "--stats-out",
+          Arg.String (fun p -> stats_out := Some p),
+          "FILE write the final stats snapshot as JSON on drain" );
+        ( "--ready-fd",
+          Cli.nat (fun fd -> ready_fd := Some fd),
+          "FD write one byte to FD once the socket is listening" );
+      ])
+    "usage: ifp_serviced [OPTIONS]\n\
+     Serves experiment jobs over a Unix-domain socket until SIGTERM,\n\
+     then drains gracefully and exits 0. With --journal, completions are\n\
+     journaled before the reply and a restarted daemon replays them\n\
+     byte-identically.";
+  let campaign = !campaign and socket = !socket and shards = !shards in
   let shard =
     Option.map
       (fun dir ->
-        Shard.create ?max_bytes:opts.cache_max_bytes ~dir ~shards:opts.shards
-          ())
-      opts.cache_dir
+        Shard.create ?max_bytes:campaign.Cli.cache_max_bytes ~dir ~shards ())
+      campaign.cache_dir
   in
   let log =
-    match opts.log_path with
+    match campaign.log with
     | Some path -> Events.create ~path
     | None -> Events.null
   in
@@ -174,38 +117,38 @@ let () =
           Printf.printf "ifp_serviced: journal replayed %d entries from %s\n%!"
             n path;
         j)
-      opts.journal_path
+      campaign.journal
   in
   (* the daemon's whole point is install-then-restore: serve until a
      signal, drain, put the old handlers back, exit 0 *)
   let signals = Cli.install_stop () in
   let cfg =
     {
-      (Server.default_config ~socket_path:opts.socket) with
-      Server.workers = opts.workers;
+      (Server.default_config ~socket_path:socket) with
+      Server.workers = campaign.workers;
       shard;
-      queue_depth = opts.queue_depth;
-      retries = opts.retries;
-      job_timeout = opts.timeout;
-      drain_timeout = opts.drain_timeout;
-      idle_timeout = opts.idle_timeout;
-      io_timeout = opts.io_timeout;
-      poison_threshold = opts.poison_threshold;
+      queue_depth = !queue_depth;
+      retries = campaign.retries;
+      job_timeout = campaign.timeout;
+      drain_timeout = !drain_timeout;
+      idle_timeout = !idle_timeout;
+      io_timeout = !io_timeout;
+      poison_threshold = !poison_threshold;
       journal;
       log;
       banner = "ifp_serviced/1";
     }
   in
   Printf.printf "ifp_serviced: listening on %s (%d workers, %s)\n%!"
-    opts.socket opts.workers
-    (match opts.cache_dir with
-    | Some dir -> Printf.sprintf "%d cache shards in %s" opts.shards dir
+    socket campaign.workers
+    (match campaign.cache_dir with
+    | Some dir -> Printf.sprintf "%d cache shards in %s" shards dir
     | None -> "no cache");
   (* readiness signal for supervisors: one byte once the socket exists.
      Server.run binds before serving, but we only learn "bound" by
      polling; a pipe write after run returns would be too late, so we
      watch for the socket file from a helper thread. *)
-  (match opts.ready_fd with
+  (match !ready_fd with
   | None -> ()
   | Some fdnum ->
     let fd : Unix.file_descr = Obj.magic (fdnum : int) in
@@ -214,7 +157,7 @@ let () =
          (fun () ->
            let rec wait n =
              if n <= 0 then ()
-             else if Sys.file_exists opts.socket then (
+             else if Sys.file_exists socket then (
                (try ignore (Unix.write fd (Bytes.of_string "R") 0 1)
                 with Unix.Unix_error _ -> ());
                try Unix.close fd with Unix.Unix_error _ -> ())
@@ -226,7 +169,7 @@ let () =
          ()));
   let final = Server.run ~stop:signals.Cli.stop cfg in
   signals.Cli.restore ();
-  (match opts.stats_out with
+  (match !stats_out with
   | Some path -> Events.write_json_file ~path final
   | None -> ());
   print_endline (Events.json_to_string final);

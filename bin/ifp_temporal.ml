@@ -318,20 +318,14 @@ let write_bench ~path ~quick juliet rows projections =
 
 let () =
   let quick = ref false and out = ref "BENCH_temporal.json" in
-  let rec parse i =
-    if i < Array.length Sys.argv then
-      match Sys.argv.(i) with
-      | "--quick" ->
-        quick := true;
-        parse (i + 1)
-      | "--out" when i + 1 < Array.length Sys.argv ->
-        out := Sys.argv.(i + 1);
-        parse (i + 2)
-      | a ->
-        Printf.eprintf "usage: ifp_temporal [--quick] [--out FILE] (got %S)\n" a;
-        exit 1
-  in
-  parse 1;
+  Ifp_campaign.Cli.parse
+    [
+      ("--quick", Arg.Set quick, " 3 workloads instead of 8 (CI smoke)");
+      ( "--out",
+        Arg.Set_string out,
+        "FILE aggregate destination (default " ^ !out ^ ")" );
+    ]
+    "usage: ifp_temporal [--quick] [--out FILE]";
   let juliet = juliet_section () in
   let rows = run_workloads (if !quick then quick_workloads else full_workloads) in
   let bad_checksums = List.filter (fun r -> not (checksums_agree r)) rows in

@@ -447,6 +447,94 @@ let test_parse_bytes () =
   check "10x" None;
   check "1kk" None
 
+(* argv arrays through the shared campaign specs, exactly as the four
+   campaign binaries parse them *)
+let test_campaign_flags () =
+  let module Cli = Ifp_campaign.Cli in
+  let parse ?(defaults = Cli.campaign_defaults) args =
+    let c = ref defaults in
+    Arg.parse_argv ~current:(ref 0)
+      (Array.of_list ("prog" :: args))
+      (Cli.campaign_specs c)
+      (fun a -> raise (Arg.Bad ("unexpected " ^ a)))
+      "usage";
+    !c
+  in
+  let rejects args =
+    match parse args with
+    | _ -> Alcotest.failf "accepted %s" (String.concat " " args)
+    | exception Arg.Bad _ -> ()
+  in
+  let check_int what = Alcotest.(check int) what in
+  let check_str what = Alcotest.(check (option string)) what in
+  let check_secs what = Alcotest.(check (option (float 0.0))) what in
+  let c =
+    parse
+      [ "-j"; "3"; "--cache-dir"; "d"; "--cache-max-bytes"; "2k"; "--log";
+        "l.jsonl"; "--timeout"; "5"; "--retries"; "4"; "--journal"; "j.wal" ]
+  in
+  check_int "-j" 3 c.workers;
+  check_str "--cache-dir" (Some "d") c.cache_dir;
+  Alcotest.(check (option int)) "--cache-max-bytes" (Some 2048)
+    c.cache_max_bytes;
+  check_str "--log" (Some "l.jsonl") c.log;
+  check_secs "--timeout" (Some 5.0) c.timeout;
+  check_int "--retries" 4 c.retries;
+  check_str "--journal" (Some "j.wal") c.journal;
+  Alcotest.(check bool) "--journal alone does not resume" false c.resume;
+  let c = parse [ "--jobs"; "2"; "--no-cache"; "--no-log" ] in
+  check_int "--jobs" 2 c.workers;
+  check_str "--no-cache" None c.cache_dir;
+  check_str "--no-log" None c.log;
+  let c = parse [ "--resume"; "r.wal" ] in
+  check_str "--resume journals to its file" (Some "r.wal") c.journal;
+  Alcotest.(check bool) "--resume resumes" true c.resume;
+  let c = parse [ "--cache-dir=e"; "--retries=0"; "-j=2"; "--timeout=2.5" ] in
+  check_str "--cache-dir=" (Some "e") c.cache_dir;
+  check_int "--retries=" 0 c.retries;
+  check_int "-j=" 2 c.workers;
+  check_secs "--timeout=" (Some 2.5) c.timeout;
+  check_secs "--timeout 0 is none" None (parse [ "--timeout"; "0" ]).timeout;
+  check_secs "--timeout -1 is none" None (parse [ "--timeout"; "-1" ]).timeout;
+  check_int "-j 0 clamps to 1" 1 (parse [ "-j"; "0" ]).workers;
+  rejects [ "-j"; "x" ];
+  rejects [ "-j"; "-1" ];
+  rejects [ "--cache-max-bytes"; "12Q" ];
+  rejects [ "--retries"; "two" ];
+  rejects [ "--timeout"; "soon" ];
+  rejects [ "--log" ];
+  rejects [ "--no-such-flag" ];
+  (* the library defaults, and a binary's own defaults surviving both no
+     flags and unrelated flags *)
+  Alcotest.(check bool) "library defaults" true
+    (parse []
+    = {
+        Cli.workers = 1;
+        cache_dir = Some ".ifp-cache";
+        cache_max_bytes = None;
+        log = None;
+        timeout = None;
+        retries = 2;
+        journal = None;
+        resume = false;
+      });
+  let fuzz =
+    { Cli.campaign_defaults with cache_dir = None; retries = 1;
+      timeout = Some 120.0; log = Some "fuzz.jsonl" }
+  in
+  Alcotest.(check bool) "binary defaults survive no flags" true
+    (parse ~defaults:fuzz [] = fuzz);
+  Alcotest.(check bool) "binary defaults survive other flags" true
+    (parse ~defaults:fuzz [ "-j"; "4" ] = { fuzz with workers = 4 });
+  (* positional names resolve through one table, or are usage errors *)
+  List.iter
+    (fun (name, _) ->
+      ignore (Cli.lookup "config" Core.Report.named_configs name))
+    Core.Report.variants;
+  match Cli.lookup "config" Core.Report.named_configs "subheap-typo" with
+  | _ -> Alcotest.fail "unknown config accepted"
+  | exception Arg.Bad _ -> ()
+
 let test_install_stop_restores_handlers () =
   (* SIGUSR1 stands in for SIGTERM so a restored default handler can't
      kill the test runner *)
@@ -505,6 +593,8 @@ let tests =
     Alcotest.test_case "cache LRU byte budget evicts coldest" `Quick
       test_cache_lru_byte_budget;
     Alcotest.test_case "parse_bytes suffixes" `Quick test_parse_bytes;
+    Alcotest.test_case "campaign flags parse, validate and default" `Quick
+      test_campaign_flags;
     Alcotest.test_case "install_stop restores previous handlers" `Quick
       test_install_stop_restores_handlers;
   ]
