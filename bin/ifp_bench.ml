@@ -22,7 +22,8 @@
                Engine agreement is checked across whichever engines run.
    --profile   after timing, print the closure engine's per-opcode
                dispatch histogram (counts + cumulative ns share) for
-               each workload/config. Implies the closure engine. *)
+               each workload/config. Implies the closure engine; the
+               profiled run must agree with the timed one. *)
 
 module W = Ifp_workloads.Workload
 module Registry = Ifp_workloads.Registry
@@ -163,6 +164,7 @@ type row = {
   sim_instrs : int;
   ns : (Vm.engine * float) list;  (* host ns per sim instr, per engine *)
   mismatches : string list;
+  closure : Vm.result option;  (* the timed closure run, if it ran *)
 }
 
 let ns_of r eng = List.assoc_opt eng r.ns
@@ -204,16 +206,22 @@ let bench_one ~reps ~engines (wl : W.t) (cname, config) =
     sim_instrs;
     ns = List.map (fun (eng, _, t) -> (eng, per t)) runs;
     mismatches;
+    closure =
+      List.find_map
+        (fun (eng, res, _) -> if eng = Vm.Eng_closure then Some res else None)
+        runs;
   }
 
 (* ---- profile mode ---------------------------------------------------- *)
 
 let ns_clock () = Unix.gettimeofday () *. 1e9
 
-let print_profile (wl : W.t) (cname, config) =
+(* Prints the histogram and returns how the profiled run differs from
+   the timed closure run: probes must observe, never change, a run. *)
+let print_profile (wl : W.t) (cname, config) (timed : Vm.result) =
   let prog = Lazy.force wl.prog in
   let p = Profile.create ~clock:ns_clock in
-  ignore (Vm.run ~config ~profile:p prog);
+  let res = Vm.run ~config ~profile:p prog in
   let rows = Profile.report p in
   let total_ns = List.fold_left (fun acc (r : Profile.row) -> acc +. r.ns) 0.0 rows in
   Printf.printf "\n%s/%s dispatch profile (%.1f ms probe-attributed):\n"
@@ -226,7 +234,8 @@ let print_profile (wl : W.t) (cname, config) =
       cum := !cum +. r.share;
       Printf.printf "  %-18s %12d %12.2f %6.1f%% %6.1f%%\n" r.op r.count
         (r.ns /. 1e6) (100.0 *. r.share) (100.0 *. !cum))
-    rows
+    rows;
+  agree ~names:"[closure vs closure --profile]" timed res
 
 (* ---- reporting ------------------------------------------------------- *)
 
@@ -265,29 +274,46 @@ let () =
     String.concat " -> " (List.map Engines.to_string engines) ^ " ns/instr"
   in
   Printf.printf "engines: %s\n%!" header;
+  let cases =
+    List.concat_map (fun wl -> List.map (fun cfg -> (wl, cfg)) configs) wls
+  in
   let rows =
-    List.concat_map
-      (fun wl ->
-        List.map
-          (fun cfg ->
-            let r = bench_one ~reps:!reps ~engines wl cfg in
-            let cols =
-              String.concat " -> "
-                (List.map
-                   (fun (_, ns) -> Printf.sprintf "%6.2f" ns)
-                   r.ns)
-            in
-            Printf.printf "%-12s %-12s %9d sim-instrs  %s%s\n%!" r.wname
-              r.cname r.sim_instrs cols
-              (if r.mismatches = [] then "" else "  ENGINE MISMATCH");
-            r)
-          configs)
-      wls
+    List.map
+      (fun (wl, cfg) ->
+        let r = bench_one ~reps:!reps ~engines wl cfg in
+        let cols =
+          String.concat " -> "
+            (List.map
+               (fun (_, ns) -> Printf.sprintf "%6.2f" ns)
+               r.ns)
+        in
+        Printf.printf "%-12s %-12s %9d sim-instrs  %s%s\n%!" r.wname
+          r.cname r.sim_instrs cols
+          (if r.mismatches = [] then "" else "  ENGINE MISMATCH");
+        r)
+      cases
   in
   let geo =
     match List.filter_map speedup rows with
     | [] -> None
     | ratios -> Some (Core.Stats.geomean ratios)
+  in
+  (match geo with
+  | Some g ->
+    Printf.printf "\ngeo-mean speedup (vm-ref -> closure): %.2fx over %d runs\n"
+      g (List.length rows)
+  | None -> ());
+  let rows =
+    if not !profile then rows
+    else
+      List.map2
+        (fun (wl, cfg) r ->
+          {
+            r with
+            mismatches =
+              r.mismatches @ print_profile wl cfg (Option.get r.closure);
+          })
+        cases rows
   in
   let bad = List.filter (fun r -> r.mismatches <> []) rows in
   List.iter
@@ -295,15 +321,6 @@ let () =
       Printf.eprintf "MISMATCH %s/%s:\n" r.wname r.cname;
       List.iter (Printf.eprintf "  %s\n") r.mismatches)
     bad;
-  (match geo with
-  | Some g ->
-    Printf.printf "\ngeo-mean speedup (vm-ref -> closure): %.2fx over %d runs\n"
-      g (List.length rows)
-  | None -> ());
-  if !profile then
-    List.iter
-      (fun wl -> List.iter (print_profile wl) configs)
-      wls;
   Events.write_json_file ~path:!out (json_of_rows rows geo (bad = []));
   Printf.printf "wrote %s\n" !out;
   if bad <> [] then exit 1

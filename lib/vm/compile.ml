@@ -29,7 +29,12 @@
 
    Compilation happens per run (inside [run_with]'s [main_body]), after
    globals setup, with the state — config, fault injector, globals —
-   fully known; closure capture is the specialization mechanism. *)
+   fully known; closure capture is the specialization mechanism.
+
+   Profiling ([?profile]) wraps these same closures in counting probes
+   ({!probe}, the identity without a profiler); it never selects a
+   different compilation, so the dispatch histogram describes exactly
+   the code an unprofiled run executes. *)
 
 open Rt
 
@@ -56,7 +61,10 @@ let nop_u : ucode = fun _ -> ()
 
 (* ---- profile probes ------------------------------------------------- *)
 
-let pv c k (f : vcode) : vcode =
+(* [probe c k f] counts and times [f] under opcode [k]; the identity
+   when no profiler is attached, so profiled and unprofiled runs execute
+   the same closures. *)
+let probe c k (f : frame -> 'a) : frame -> 'a =
   match c.env.prof with
   | None -> f
   | Some p ->
@@ -66,32 +74,6 @@ let pv c k (f : vcode) : vcode =
       | v ->
         Profile.exit p;
         v
-      | exception e ->
-        Profile.exit p;
-        raise e)
-
-let pi c k (f : icode) : icode =
-  match c.env.prof with
-  | None -> f
-  | Some p ->
-    fun fr ->
-      Profile.enter p k;
-      (match f fr with
-      | v ->
-        Profile.exit p;
-        v
-      | exception e ->
-        Profile.exit p;
-        raise e)
-
-let pu c k (f : ucode) : ucode =
-  match c.env.prof with
-  | None -> f
-  | Some p ->
-    fun fr ->
-      Profile.enter p k;
-      (match f fr with
-      | () -> Profile.exit p
       | exception e ->
         Profile.exit p;
         raise e)
@@ -612,15 +594,6 @@ let never_ptr (e : R.expr) =
   | R.Cast { kind = R.Cast_int _ | R.Cast_f64; _ } -> true
   | _ -> false
 
-let cmp_test : Ir.binop -> int -> bool = function
-  | Ir.Eq -> fun cv -> cv = 0
-  | Ir.Ne -> fun cv -> cv <> 0
-  | Ir.Lt -> fun cv -> cv < 0
-  | Ir.Le -> fun cv -> cv <= 0
-  | Ir.Gt -> fun cv -> cv > 0
-  | Ir.Ge -> fun cv -> cv >= 0
-  | _ -> assert false
-
 (* ---- the compiler --------------------------------------------------- *)
 
 let rec compile_expr c (e : R.expr) : vcode =
@@ -628,117 +601,109 @@ let rec compile_expr c (e : R.expr) : vcode =
   match e with
   | R.Int x ->
     let v = VI x in
-    pv c Profile.op_const (fun _ -> v)
+    probe c Profile.op_const (fun _ -> v)
   | R.Float f ->
     let v = VF f in
-    pv c Profile.op_const (fun _ -> v)
+    probe c Profile.op_const (fun _ -> v)
   | R.Var i ->
-    pv c Profile.op_var (fun fr ->
+    probe c Profile.op_var (fun fr ->
         let v = Array.unsafe_get fr.vars i in
         if v == unbound then
           abort ("unbound variable " ^ fr.rf.var_names.(i))
         else v)
   | R.Binop (Ir.LAnd, a, b) ->
     let ca = compile_expr c a and cb = compile_expr c b in
-    pv c Profile.op_binop (fun fr ->
+    probe c Profile.op_binop (fun fr ->
         base st 1;
         if not (truth (ca fr)) then vi_zero else vi_bool (truth (cb fr)))
   | R.Binop (Ir.LOr, a, b) ->
     let ca = compile_expr c a and cb = compile_expr c b in
-    pv c Profile.op_binop (fun fr ->
+    probe c Profile.op_binop (fun fr ->
         base st 1;
         if truth (ca fr) then vi_one else vi_bool (truth (cb fr)))
-  | R.Binop (((Ir.Eq | Ir.Ne | Ir.Lt | Ir.Le | Ir.Gt | Ir.Ge) as op), a, b)
-    when c.env.prof = None ->
+  | R.Binop (((Ir.Eq | Ir.Ne | Ir.Lt | Ir.Le | Ir.Gt | Ir.Ge) as op), a, b) ->
     (* boxed twin of the comparison specialization: only the boolean
        result is boxed *)
     let cc = compile_cmp_bool c op a b in
-    fun fr -> vi_bool (cc fr)
+    probe c Profile.op_cmp (fun fr -> vi_bool (cc fr))
   | R.Binop
       ( ( Ir.Add | Ir.Sub | Ir.Mul | Ir.Div | Ir.Rem | Ir.BAnd | Ir.BOr
         | Ir.BXor | Ir.Shl | Ir.Shr ),
         _,
-        _ )
-    when c.env.prof = None ->
-    (* integer-producing op: reuse the unboxed compiler, box once *)
+        _ ) ->
+    (* integer-producing op: reuse the unboxed compiler (probed as
+       [binop.i]), box once *)
     let ci = compile_expr_i c e in
     fun fr -> VI (ci fr)
-  | R.Binop (((Ir.FAdd | Ir.FSub | Ir.FMul | Ir.FDiv) as op), a, b)
-    when c.env.prof = None ->
+  | R.Binop (((Ir.FAdd | Ir.FSub | Ir.FMul | Ir.FDiv) as op), a, b) ->
     let ca = compile_expr c a and cb = compile_expr c b in
     let fpx = Cost.fp - 1 in
-    (match op with
-    | Ir.FAdd ->
-      fun fr ->
-        let vb = cb fr in
-        let va = ca fr in
-        base st 1;
-        cycles st fpx;
-        VF (as_float va +. as_float vb)
-    | Ir.FSub ->
-      fun fr ->
-        let vb = cb fr in
-        let va = ca fr in
-        base st 1;
-        cycles st fpx;
-        VF (as_float va -. as_float vb)
-    | Ir.FMul ->
-      fun fr ->
-        let vb = cb fr in
-        let va = ca fr in
-        base st 1;
-        cycles st fpx;
-        VF (as_float va *. as_float vb)
-    | Ir.FDiv ->
-      fun fr ->
-        let vb = cb fr in
-        let va = ca fr in
-        base st 1;
-        cycles st fpx;
-        VF (as_float va /. as_float vb)
-    | _ -> assert false)
-  | R.Binop (((Ir.FEq | Ir.FLt | Ir.FLe) as op), a, b)
-    when c.env.prof = None ->
+    probe c Profile.op_binop
+      (match op with
+      | Ir.FAdd ->
+        fun fr ->
+          let vb = cb fr in
+          let va = ca fr in
+          base st 1;
+          cycles st fpx;
+          VF (as_float va +. as_float vb)
+      | Ir.FSub ->
+        fun fr ->
+          let vb = cb fr in
+          let va = ca fr in
+          base st 1;
+          cycles st fpx;
+          VF (as_float va -. as_float vb)
+      | Ir.FMul ->
+        fun fr ->
+          let vb = cb fr in
+          let va = ca fr in
+          base st 1;
+          cycles st fpx;
+          VF (as_float va *. as_float vb)
+      | Ir.FDiv ->
+        fun fr ->
+          let vb = cb fr in
+          let va = ca fr in
+          base st 1;
+          cycles st fpx;
+          VF (as_float va /. as_float vb)
+      | _ -> assert false)
+  | R.Binop (((Ir.FEq | Ir.FLt | Ir.FLe) as op), a, b) ->
     let ca = compile_expr c a and cb = compile_expr c b in
     let fpx = Cost.fp - 1 in
-    (match op with
-    | Ir.FEq ->
-      fun fr ->
-        let vb = cb fr in
-        let va = ca fr in
-        base st 1;
-        cycles st fpx;
-        vi_bool (as_float va = as_float vb)
-    | Ir.FLt ->
-      fun fr ->
-        let vb = cb fr in
-        let va = ca fr in
-        base st 1;
-        cycles st fpx;
-        vi_bool (as_float va < as_float vb)
-    | Ir.FLe ->
-      fun fr ->
-        let vb = cb fr in
-        let va = ca fr in
-        base st 1;
-        cycles st fpx;
-        vi_bool (as_float va <= as_float vb)
-    | _ -> assert false)
-  | R.Binop (op, a, b) ->
-    (* reference order: the generic application evaluates b, then a *)
-    let ca = compile_expr c a and cb = compile_expr c b in
-    pv c Profile.op_binop (fun fr ->
-        let vb = cb fr in
-        let va = ca fr in
-        eval_binop st op va vb)
+    probe c Profile.op_fcmp
+      (match op with
+      | Ir.FEq ->
+        fun fr ->
+          let vb = cb fr in
+          let va = ca fr in
+          base st 1;
+          cycles st fpx;
+          vi_bool (as_float va = as_float vb)
+      | Ir.FLt ->
+        fun fr ->
+          let vb = cb fr in
+          let va = ca fr in
+          base st 1;
+          cycles st fpx;
+          vi_bool (as_float va < as_float vb)
+      | Ir.FLe ->
+        fun fr ->
+          let vb = cb fr in
+          let va = ca fr in
+          base st 1;
+          cycles st fpx;
+          vi_bool (as_float va <= as_float vb)
+      | _ -> assert false)
   | R.Unop (op, a) ->
     let ca = compile_expr c a in
-    pv c Profile.op_unop (fun fr -> eval_unop st op (ca fr))
+    probe c Profile.op_unop (fun fr -> eval_unop st op (ca fr))
   | R.Load { cls; bytes; addr } -> compile_load c cls bytes addr
   | R.Addr_local slot ->
     if c.instr then
       let chg_bnd = stage_charge_ifp st Insn.Ifpbnd in
-      pv c Profile.op_addr_local (fun fr ->
+      probe c Profile.op_addr_local (fun fr ->
           base st 1;
           let addr = fr.local_addr.(slot) in
           if Int64.equal addr local_unset then
@@ -750,7 +715,7 @@ let rec compile_expr c (e : R.expr) : vcode =
                 Bounds.of_base_size addr fr.local_size.(slot) )
           end)
     else
-      pv c Profile.op_addr_local (fun fr ->
+      probe c Profile.op_addr_local (fun fr ->
           base st 1;
           let addr = fr.local_addr.(slot) in
           if Int64.equal addr local_unset then
@@ -761,12 +726,12 @@ let rec compile_expr c (e : R.expr) : vcode =
     let go = st.globals.(g) in
     if c.instr then
       let chg_bnd = stage_charge_ifp st Insn.Ifpbnd in
-      pv c Profile.op_addr_global (fun _ ->
+      probe c Profile.op_addr_global (fun _ ->
           base st 5;
           chg_bnd ();
           VP (go.gtagged, go.gbounds))
     else
-      pv c Profile.op_addr_global (fun _ ->
+      probe c Profile.op_addr_global (fun _ ->
           base st 1;
           VP (go.gaddr, Bounds.no_bounds))
   | R.Load_global { g; cls; bytes } ->
@@ -775,32 +740,32 @@ let rec compile_expr c (e : R.expr) : vcode =
     let go = st.globals.(g) in
     let tail = load_tail (stage_load st bytes) cls bytes in
     let ga = Int64.logand go.gaddr addr_mask in
-    pv c Profile.op_load_global (fun _ -> tail ga)
+    probe c Profile.op_load_global (fun _ -> tail ga)
   | R.Gep { base = gbase; steps; idx_delta; site = _ } ->
     compile_gep c gbase steps idx_delta
   | R.Call { target; args; n_args } -> compile_call c target args n_args
   | R.Malloc { scale; count; cty; layout_multi } ->
     let cc = compile_expr_i c count in
-    pv c Profile.op_malloc (fun fr ->
+    probe c Profile.op_malloc (fun fr ->
         let n = Int64.to_int (cc fr) in
         do_malloc st fr ~size:(max 1 n * scale) ~cty ~layout_multi)
   | R.Cast { kind; e } -> (
     let ce = compile_expr c e in
     match kind with
     | R.Cast_ptr ->
-      pv c Profile.op_cast (fun fr ->
+      probe c Profile.op_cast (fun fr ->
           match ce fr with
           | VI w ->
             if Int64.equal w 0L then null_ptr else VP (w, Bounds.no_bounds)
           | VP _ as v -> v
           | VF _ -> abort "float to pointer cast")
     | R.Cast_f64 ->
-      pv c Profile.op_cast (fun fr ->
+      probe c Profile.op_cast (fun fr ->
           let v = ce fr in
           base st 1;
           VF (as_float v))
     | R.Cast_int n ->
-      pv c Profile.op_cast (fun fr ->
+      probe c Profile.op_cast (fun fr ->
           match ce fr with
           | VF f ->
             base st 1;
@@ -808,8 +773,8 @@ let rec compile_expr c (e : R.expr) : vcode =
           | v -> VI (sext (as_int v) n)))
   | R.Ifp_promote { e; site = _ } ->
     let ce = compile_expr c e in
-    pv c Profile.op_promote (fun fr -> eval_promote st (ce fr))
-  | R.Bad msg -> pv c Profile.op_bad (fun _ -> abort msg)
+    probe c Profile.op_promote (fun fr -> eval_promote st (ce fr))
+  | R.Bad msg -> probe c Profile.op_bad (fun _ -> abort msg)
 
 (* Unboxed integer compilation, used in the integer contexts
    (conditions, integer arithmetic, gep indexes, malloc counts, integer
@@ -820,23 +785,23 @@ let rec compile_expr c (e : R.expr) : vcode =
 and compile_expr_i c (e : R.expr) : icode =
   let st = c.env.st in
   match e with
-  | R.Int x -> pi c Profile.op_const (fun _ -> x)
+  | R.Int x -> probe c Profile.op_const (fun _ -> x)
   | R.Var i ->
-    pi c Profile.op_var (fun fr ->
+    probe c Profile.op_var (fun fr ->
         let v = Array.unsafe_get fr.vars i in
         if v == unbound then
           abort ("unbound variable " ^ fr.rf.var_names.(i))
         else as_int v)
   | R.Binop (Ir.LAnd, a, b) ->
     let ca = compile_expr_i c a and cb = compile_expr_i c b in
-    pi c Profile.op_binop_i (fun fr ->
+    probe c Profile.op_binop_i (fun fr ->
         base st 1;
         if Int64.equal (ca fr) 0L then 0L
         else if Int64.equal (cb fr) 0L then 0L
         else 1L)
   | R.Binop (Ir.LOr, a, b) ->
     let ca = compile_expr_i c a and cb = compile_expr_i c b in
-    pi c Profile.op_binop_i (fun fr ->
+    probe c Profile.op_binop_i (fun fr ->
         base st 1;
         if not (Int64.equal (ca fr) 0L) then 1L
         else if Int64.equal (cb fr) 0L then 0L
@@ -847,7 +812,7 @@ and compile_expr_i c (e : R.expr) : icode =
         a,
         b ) ->
     let ca = compile_expr_i c a and cb = compile_expr_i c b in
-    pi c Profile.op_binop_i
+    probe c Profile.op_binop_i
       (match op with
       | Ir.Add ->
         fun fr ->
@@ -917,7 +882,7 @@ and compile_expr_i c (e : R.expr) : icode =
       | _ -> assert false)
   | R.Unop (((Ir.Neg | Ir.BNot | Ir.LNot) as op), a) ->
     let ca = compile_expr_i c a in
-    pi c Profile.op_unop_i
+    probe c Profile.op_unop_i
       (match op with
       | Ir.Neg ->
         fun fr ->
@@ -936,31 +901,15 @@ and compile_expr_i c (e : R.expr) : icode =
           if Int64.equal x 0L then 1L else 0L
       | _ -> assert false)
   | R.Load { cls = R.Cls_int; bytes; addr } -> compile_load_int c bytes addr
-  | R.Load_global { g; cls = R.Cls_int; bytes } when c.env.prof = None ->
+  | R.Load_global { g; cls = R.Cls_int; bytes } ->
     (* unboxed twin of the staged global load *)
     let go = c.env.st.globals.(g) in
     let tail = load_tail_i (stage_load c.env.st bytes) bytes in
     let ga = Int64.logand go.gaddr addr_mask in
-    fun _ -> tail ga
+    probe c Profile.op_load_global (fun _ -> tail ga)
   | R.Binop (((Ir.Eq | Ir.Ne | Ir.Lt | Ir.Le | Ir.Gt | Ir.Ge) as op), a, b) ->
-    if c.env.prof = None then
-      let cc = compile_cmp_bool c op a b in
-      fun fr -> if cc fr then 1L else 0L
-    else
-      (* probed generic path so profiling sees operand dispatches *)
-      let test = cmp_test op in
-      let ca = compile_expr c a and cb = compile_expr c b in
-      pi c Profile.op_cmp (fun fr ->
-          let vb = cb fr in
-          let va = ca fr in
-          base st 1;
-          let cv =
-            match (va, vb) with
-            | VP (wa, _), VP (wb, _) ->
-              Int64.compare (Tag.addr wa) (Tag.addr wb)
-            | _ -> Int64.compare (as_int va) (as_int vb)
-          in
-          if test cv then 1L else 0L)
+    let cc = compile_cmp_bool c op a b in
+    probe c Profile.op_cmp (fun fr -> if cc fr then 1L else 0L)
   | R.Binop (((Ir.FEq | Ir.FLt | Ir.FLe) as op), a, b) ->
     let ca = compile_expr c a and cb = compile_expr c b in
     let test : float -> float -> bool =
@@ -970,7 +919,7 @@ and compile_expr_i c (e : R.expr) : icode =
       | Ir.FLe -> ( <= )
       | _ -> assert false
     in
-    pi c Profile.op_fcmp (fun fr ->
+    probe c Profile.op_fcmp (fun fr ->
         let vb = cb fr in
         let va = ca fr in
         base st 1;
@@ -987,8 +936,8 @@ and compile_expr_i c (e : R.expr) : icode =
    (no test closure to call at run time) and leaf operands (Var / Int)
    read inline. Handles every comparison shape: when one side is an
    integer literal or provably non-pointer the VP/VP address-compare
-   branch is compiled away, otherwise it is kept. Only used when
-   profiling is off (callers fall back to probed generic code). *)
+   branch is compiled away, otherwise it is kept. Callers probe the
+   result as [cmp]. *)
 and compile_cmp_bool c op a b : frame -> bool =
   let st = c.env.st in
   let an, az, ap =
@@ -1068,14 +1017,11 @@ and compile_cmp_bool c op a b : frame -> bool =
 
 (* Boolean condition compilation for [If]/[While]: same closure as
    [compile_expr_i] followed by a zero test, but a comparison skips the
-   0L/1L materialization and returns the test result directly. Kept
-   generic under profiling so the dispatch histogram still sees the
-   condition's [op_cmp] probe. *)
+   0L/1L materialization and returns the test result directly. *)
 and compile_cond c (e : R.expr) : frame -> bool =
   match e with
-  | R.Binop (((Ir.Eq | Ir.Ne | Ir.Lt | Ir.Le | Ir.Gt | Ir.Ge) as op), a, b)
-    when c.env.prof = None ->
-    compile_cmp_bool c op a b
+  | R.Binop (((Ir.Eq | Ir.Ne | Ir.Lt | Ir.Le | Ir.Gt | Ir.Ge) as op), a, b) ->
+    probe c Profile.op_cmp (compile_cmp_bool c op a b)
   | e ->
     let cc = compile_expr_i c e in
     fun fr -> not (Int64.equal (cc fr) 0L)
@@ -1213,7 +1159,7 @@ and compile_gep_addr c gbase steps idx_delta : (frame -> int64) option =
 and compile_gep c gbase steps idx_delta : vcode =
   let st = c.env.st in
   let cb = compile_expr c gbase in
-  pv c Profile.op_gep
+  probe c Profile.op_gep
     (match steps with
     | [] ->
       fun fr ->
@@ -1302,12 +1248,12 @@ and compile_load c cls bytes addr : vcode =
       (* gep→check→load superinstruction *)
       let tail = load_tail (stage_load st bytes) cls bytes in
       if c.instr then
-        pv c Profile.op_fused_gep_load (fun fr ->
+        probe c Profile.op_fused_gep_load (fun fr ->
             let w' = ga fr in
             let ob = env.gb in
             tail (check_instr st w' ob ~is_store:false ~size:bytes))
       else
-        pv c Profile.op_fused_gep_load (fun fr ->
+        probe c Profile.op_fused_gep_load (fun fr ->
             tail (Int64.logand (ga fr) addr_mask))
     | None -> compile_load_generic c cls bytes addr)
   | R.Ifp_promote { e; site = _ } when st.inj = None ->
@@ -1315,7 +1261,7 @@ and compile_load c cls bytes addr : vcode =
     let ce = compile_expr c e in
     let tail = load_tail (stage_load st bytes) cls bytes in
     if c.instr then
-      pv c Profile.op_fused_promote_load (fun fr ->
+      probe c Profile.op_fused_promote_load (fun fr ->
           let w, b =
             match eval_promote st (ce fr) with
             | VP (w, b) -> (w, b)
@@ -1324,7 +1270,7 @@ and compile_load c cls bytes addr : vcode =
           in
           tail (check_instr st w b ~is_store:false ~size:bytes))
     else
-      pv c Profile.op_fused_promote_load (fun fr ->
+      probe c Profile.op_fused_promote_load (fun fr ->
           let w =
             match eval_promote st (ce fr) with
             | VP (w, _) | VI w -> w
@@ -1337,19 +1283,19 @@ and compile_load_generic c cls bytes addr : vcode =
   let st = c.env.st in
   let ca = compile_expr c addr in
   if st.inj <> None then
-    pv c Profile.op_load (fun fr -> do_load st fr cls bytes (ca fr))
+    probe c Profile.op_load (fun fr -> do_load st fr cls bytes (ca fr))
   else
     (* staged twin of [Rt.do_load]: the [as_ptr] split, the checked
        access (static per mode), then the staged load tail *)
     let tail = load_tail (stage_load st bytes) cls bytes in
     if c.instr then
-      pv c Profile.op_load (fun fr ->
+      probe c Profile.op_load (fun fr ->
           match ca fr with
           | VP (w, b) -> tail (check_instr st w b ~is_store:false ~size:bytes)
           | VI w -> tail (check_instr st w Bounds.No_bounds ~is_store:false ~size:bytes)
           | VF _ -> abort "float used as pointer")
     else
-      pv c Profile.op_load (fun fr ->
+      probe c Profile.op_load (fun fr ->
           match ca fr with
           | VP (w, _) | VI w -> tail (Int64.logand w addr_mask)
           | VF _ -> abort "float used as pointer")
@@ -1364,12 +1310,12 @@ and compile_load_int c bytes addr : icode =
     | Some ga ->
       let tail = load_tail_i (stage_load st bytes) bytes in
       if c.instr then
-        pi c Profile.op_fused_gep_load_i (fun fr ->
+        probe c Profile.op_fused_gep_load_i (fun fr ->
             let w' = ga fr in
             let ob = env.gb in
             tail (check_instr st w' ob ~is_store:false ~size:bytes))
       else
-        pi c Profile.op_fused_gep_load_i (fun fr ->
+        probe c Profile.op_fused_gep_load_i (fun fr ->
             tail (Int64.logand (ga fr) addr_mask))
     | None -> compile_load_int_generic c bytes addr)
   | addr -> compile_load_int_generic c bytes addr
@@ -1378,17 +1324,17 @@ and compile_load_int_generic c bytes addr : icode =
   let st = c.env.st in
   let ca = compile_expr c addr in
   if st.inj <> None then
-    pi c Profile.op_load_i (fun fr -> do_load_int st fr bytes (ca fr))
+    probe c Profile.op_load_i (fun fr -> do_load_int st fr bytes (ca fr))
   else
     let tail = load_tail_i (stage_load st bytes) bytes in
     if c.instr then
-      pi c Profile.op_load_i (fun fr ->
+      probe c Profile.op_load_i (fun fr ->
           match ca fr with
           | VP (w, b) -> tail (check_instr st w b ~is_store:false ~size:bytes)
           | VI w -> tail (check_instr st w Bounds.No_bounds ~is_store:false ~size:bytes)
           | VF _ -> abort "float used as pointer")
     else
-      pi c Profile.op_load_i (fun fr ->
+      probe c Profile.op_load_i (fun fr ->
           match ca fr with
           | VP (w, _) | VI w -> tail (Int64.logand w addr_mask)
           | VF _ -> abort "float used as pointer")
@@ -1399,7 +1345,7 @@ and compile_store_int_generic c bytes addr v next : ucode =
   let st = c.env.st in
   let ca = compile_expr c addr and cv = compile_expr_i c v in
   if st.inj <> None then
-    pu c Profile.op_store (fun fr ->
+    probe c Profile.op_store (fun fr ->
         let a = ca fr in
         let raw = cv fr in
         do_store_int st fr bytes a raw;
@@ -1407,7 +1353,7 @@ and compile_store_int_generic c bytes addr v next : ucode =
   else
     let stw = stage_store st bytes in
     if c.instr then
-      pu c Profile.op_store (fun fr ->
+      probe c Profile.op_store (fun fr ->
           let a = ca fr in
           let raw = cv fr in
           (match a with
@@ -1416,7 +1362,7 @@ and compile_store_int_generic c bytes addr v next : ucode =
           | VF _ -> abort "float used as pointer");
           next fr)
     else
-      pu c Profile.op_store (fun fr ->
+      probe c Profile.op_store (fun fr ->
           let a = ca fr in
           let raw = cv fr in
           (match a with
@@ -1428,7 +1374,7 @@ and compile_store_generic c cls bytes addr v next : ucode =
   let st = c.env.st in
   let ca = compile_expr c addr and cv = compile_expr c v in
   if st.inj <> None then
-    pu c Profile.op_store (fun fr ->
+    probe c Profile.op_store (fun fr ->
         let a = ca fr in
         let value = cv fr in
         do_store st fr cls bytes a value;
@@ -1437,7 +1383,7 @@ and compile_store_generic c cls bytes addr v next : ucode =
     let stw = stage_store st bytes in
     let sraw = stage_store_raw st ~instr:c.instr cls in
     if c.instr then
-      pu c Profile.op_store (fun fr ->
+      probe c Profile.op_store (fun fr ->
           let a = ca fr in
           let value = cv fr in
           (match a with
@@ -1450,7 +1396,7 @@ and compile_store_generic c cls bytes addr v next : ucode =
           | VF _ -> abort "float used as pointer");
           next fr)
     else
-      pu c Profile.op_store (fun fr ->
+      probe c Profile.op_store (fun fr ->
           let a = ca fr in
           let value = cv fr in
           (match a with
@@ -1480,7 +1426,7 @@ and compile_call c target args n_args : vcode =
       Array.of_list (List.map2 (fun p a -> (p, carg a)) f.params args)
     in
     (* unroll the common small arities into straight-line slot writes *)
-    pv c Profile.op_call
+    probe c Profile.op_call
       (match binds with
       | [||] ->
         fun _ ->
@@ -1522,7 +1468,7 @@ and compile_call c target args n_args : vcode =
     let cargs = List.map (compile_expr c) args in
     match target with
     | R.C_print_i64 ->
-      pv c Profile.op_call (fun fr ->
+      probe c Profile.op_call (fun fr ->
           let argv = List.map (fun ce -> ce fr) cargs in
           base st 3;
           (match argv with
@@ -1530,7 +1476,7 @@ and compile_call c target args n_args : vcode =
           | _ -> ());
           VI 0L)
     | R.C_print_f64 ->
-      pv c Profile.op_call (fun fr ->
+      probe c Profile.op_call (fun fr ->
           let argv = List.map (fun ce -> ce fr) cargs in
           base st 3;
           (match argv with
@@ -1538,19 +1484,19 @@ and compile_call c target args n_args : vcode =
           | _ -> ());
           VI 0L)
     | R.C_abort ->
-      pv c Profile.op_call (fun fr ->
+      probe c Profile.op_call (fun fr ->
           let argv = List.map (fun ce -> ce fr) cargs in
           ignore argv;
           abort "program called __abort")
     | R.C_unknown fn ->
-      pv c Profile.op_call (fun fr ->
+      probe c Profile.op_call (fun fr ->
           let argv = List.map (fun ce -> ce fr) cargs in
           ignore argv;
           abort ("call to unknown function " ^ fn))
     | R.C_func i ->
       (* arity mismatch: keep the reference path, including its
          [Invalid_argument] after evaluating every argument *)
-      pv c Profile.op_call (fun fr ->
+      probe c Profile.op_call (fun fr ->
           let argv = List.map (fun ce -> ce fr) cargs in
           let f = st.rp.funcs.(i) in
           let spills = call_prelude st f n_args in
@@ -1575,42 +1521,42 @@ and compile_stmt c (s : R.stmt) (next : ucode) : ucode =
     match k with
     | R.K_i64 ->
       let ce = compile_expr_i c e in
-      pu c Profile.op_let (fun fr ->
+      probe c Profile.op_let (fun fr ->
           let x = ce fr in
           base st 1;
           Array.unsafe_set fr.vars slot (VI x);
           next fr)
     | R.K_i32 ->
       let ce = compile_expr_i c e in
-      pu c Profile.op_let (fun fr ->
+      probe c Profile.op_let (fun fr ->
           let x = ce fr in
           base st 1;
           Array.unsafe_set fr.vars slot (VI (sext x 4));
           next fr)
     | R.K_i16 ->
       let ce = compile_expr_i c e in
-      pu c Profile.op_let (fun fr ->
+      probe c Profile.op_let (fun fr ->
           let x = ce fr in
           base st 1;
           Array.unsafe_set fr.vars slot (VI (sext x 2));
           next fr)
     | R.K_i8 ->
       let ce = compile_expr_i c e in
-      pu c Profile.op_let (fun fr ->
+      probe c Profile.op_let (fun fr ->
           let x = ce fr in
           base st 1;
           Array.unsafe_set fr.vars slot (VI (sext x 1));
           next fr)
     | k ->
       let ce = compile_expr c e in
-      pu c Profile.op_let (fun fr ->
+      probe c Profile.op_let (fun fr ->
           let v = coerce k (ce fr) in
           base st 1;
           Array.unsafe_set fr.vars slot v;
           next fr))
   | R.Assign { slot; e } ->
     let ce = compile_expr c e in
-    pu c Profile.op_assign (fun fr ->
+    probe c Profile.op_assign (fun fr ->
         let v = ce fr in
         base st 1;
         if Array.unsafe_get fr.vars slot == unbound then
@@ -1622,7 +1568,7 @@ and compile_stmt c (s : R.stmt) (next : ucode) : ucode =
       if c.instr then Meta.Local_offset.footprint ~size
       else Ifp_util.Bits.align_up size 16
     in
-    pu c Profile.op_decl_local (fun fr ->
+    probe c Profile.op_decl_local (fun fr ->
         (if Int64.equal fr.local_addr.(slot) local_unset then begin
            let addr =
              Ifp_util.Bits.align_down64
@@ -1650,14 +1596,14 @@ and compile_stmt c (s : R.stmt) (next : ucode) : ucode =
         let cv = compile_expr_i c v in
         let stw = stage_store st bytes in
         if c.instr then
-          pu c Profile.op_fused_gep_store_i (fun fr ->
+          probe c Profile.op_fused_gep_store_i (fun fr ->
               let w' = ga fr in
               let ob = env.gb in
               let raw = cv fr in
               stw (check_instr st w' ob ~is_store:true ~size:bytes) raw;
               next fr)
         else
-          pu c Profile.op_fused_gep_store_i (fun fr ->
+          probe c Profile.op_fused_gep_store_i (fun fr ->
               let w' = ga fr in
               let raw = cv fr in
               stw (Int64.logand w' addr_mask) raw;
@@ -1673,7 +1619,7 @@ and compile_stmt c (s : R.stmt) (next : ucode) : ucode =
         let stw = stage_store st bytes in
         let sraw = stage_store_raw st ~instr:c.instr cls in
         if c.instr then
-          pu c Profile.op_fused_gep_store (fun fr ->
+          probe c Profile.op_fused_gep_store (fun fr ->
               let w' = ga fr in
               let ob = env.gb in
               let value = cv fr in
@@ -1681,7 +1627,7 @@ and compile_stmt c (s : R.stmt) (next : ucode) : ucode =
               stw ma (sraw value);
               next fr)
         else
-          pu c Profile.op_fused_gep_store (fun fr ->
+          probe c Profile.op_fused_gep_store (fun fr ->
               let w' = ga fr in
               let value = cv fr in
               stw (Int64.logand w' addr_mask) (sraw value);
@@ -1694,7 +1640,7 @@ and compile_stmt c (s : R.stmt) (next : ucode) : ucode =
     let stw = stage_store st bytes in
     (* the global's address is static, so its tag strip stages too *)
     let ga = Int64.logand go.gaddr addr_mask in
-    pu c Profile.op_store_global (fun fr ->
+    probe c Profile.op_store_global (fun fr ->
         let raw = ce fr in
         stw ga raw;
         next fr)
@@ -1702,7 +1648,7 @@ and compile_stmt c (s : R.stmt) (next : ucode) : ucode =
     let ce = compile_expr c e in
     let go = st.globals.(g) in
     let sraw = stage_store_raw st ~instr:c.instr cls in
-    pu c Profile.op_store_global (fun fr ->
+    probe c Profile.op_store_global (fun fr ->
         let v = ce fr in
         (* reference order: charge first, then demote *)
         charge_store st go.gaddr bytes;
@@ -1712,13 +1658,13 @@ and compile_stmt c (s : R.stmt) (next : ucode) : ucode =
   | R.If (cond, t, e) ->
     let cc = compile_cond c cond in
     let ct = compile_seq c t next and ce = compile_seq c e next in
-    pu c Profile.op_if (fun fr ->
+    probe c Profile.op_if (fun fr ->
         base st 2 (* compare + branch *);
         if cc fr then ct fr else ce fr)
   | R.While (cond, body) ->
     let cc = compile_cond c cond in
     let cbody = compile_seq c body nop_u in
-    pu c Profile.op_while (fun fr ->
+    probe c Profile.op_while (fun fr ->
         let rec loop () =
           budget_check st;
           base st 2 (* compare + branch *);
@@ -1730,18 +1676,18 @@ and compile_stmt c (s : R.stmt) (next : ucode) : ucode =
         (try loop () with Break_exc -> ());
         next fr)
   | R.Return None ->
-    pu c Profile.op_return (fun _ -> raise (Return_exc (VI 0L)))
+    probe c Profile.op_return (fun _ -> raise (Return_exc (VI 0L)))
   | R.Return (Some e) ->
     let ce = compile_expr c e in
-    pu c Profile.op_return (fun fr -> raise (Return_exc (ce fr)))
+    probe c Profile.op_return (fun fr -> raise (Return_exc (ce fr)))
   | R.Expr e ->
     let ce = compile_expr c e in
-    pu c Profile.op_expr (fun fr ->
+    probe c Profile.op_expr (fun fr ->
         ignore (ce fr);
         next fr)
   | R.Free e ->
     let ce = compile_expr c e in
-    pu c Profile.op_free (fun fr ->
+    probe c Profile.op_free (fun fr ->
         let w, _ = as_ptr (ce fr) in
         let cost = st.allocator.free w in
         charge_alloc_cost st cost;
@@ -1751,7 +1697,7 @@ and compile_stmt c (s : R.stmt) (next : ucode) : ucode =
   | R.Ifp_register_local { slot; site } ->
     (* inline cache: memoize this site's (tyid → layout pointer)
        resolution; fall back to the per-run table walk on miss. *)
-    pu c Profile.op_register_local (fun fr ->
+    probe c Profile.op_register_local (fun fr ->
         let addr = fr.local_addr.(slot) in
         if Int64.equal addr local_unset then
           abort ("register of unknown local " ^ fr.rf.local_names.(slot))
@@ -1771,12 +1717,12 @@ and compile_stmt c (s : R.stmt) (next : ucode) : ucode =
         end;
         next fr)
   | R.Ifp_deregister_local slot ->
-    pu c Profile.op_deregister_local (fun fr ->
+    probe c Profile.op_deregister_local (fun fr ->
         deregister_local st fr slot;
         next fr)
   | R.Bad_store_global { e; msg } ->
     let ce = compile_expr c e in
-    pu c Profile.op_bad (fun fr ->
+    probe c Profile.op_bad (fun fr ->
         ignore (ce fr);
         abort msg)
 

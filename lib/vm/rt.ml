@@ -3,10 +3,11 @@
    Everything here is independent of the execution strategy —
    configuration, the machine state record, cost charging, checked
    memory access, promote, local object registration, program setup and
-   the run scaffolding. {!Compile} stages these primitives into closures
+   the machine harness. {!Compile} stages these primitives into closures
    and {!Vm.run} drives the result; {!Vm_ref}, the independent oracle,
    restates the same semantics on its own and is differentially tested
-   against it.
+   against it. Both engines build their machine and assemble their
+   result through {!Machine}, so what a config means is stated once.
 
    This module deliberately has no [.mli]: it is the internal widest
    interface of the [ifp_vm] library. The supported public surface is
@@ -199,8 +200,6 @@ let ifp_mode st = st.cfg.variant <> Baseline
 let trace_add st ev =
   st.trace_left <- st.trace_left - 1;
   st.trace <- ev :: st.trace
-
-let trace st ev = if st.trace_left > 0 then trace_add st (ev st)
 
 (* ---- cost charging ------------------------------------------------ *)
 
@@ -540,66 +539,6 @@ let make_frame (f : R.func) =
       rf = f;
     }
 
-let eval_binop st op a b =
-  let int_op f =
-    base st 1;
-    VI (f (as_int a) (as_int b))
-  in
-  let cmp f =
-    base st 1;
-    let x, y =
-      match (a, b) with
-      | VP (wa, _), VP (wb, _) -> (Tag.addr wa, Tag.addr wb)
-      | _ -> (as_int a, as_int b)
-    in
-    vi_bool (f (Int64.compare x y) 0)
-  in
-  let fop f =
-    base st 1;
-    cycles st (Cost.fp - 1);
-    VF (f (as_float a) (as_float b))
-  in
-  let fcmp f =
-    base st 1;
-    cycles st (Cost.fp - 1);
-    vi_bool (f (as_float a) (as_float b))
-  in
-  match op with
-  | Ir.Add -> int_op Int64.add
-  | Ir.Sub -> int_op Int64.sub
-  | Ir.Mul ->
-    cycles st (Cost.mul - 1);
-    int_op Int64.mul
-  | Ir.Div ->
-    cycles st (Cost.div - 1);
-    let d = as_int b in
-    if Int64.equal d 0L then abort "division by zero";
-    int_op Int64.div
-  | Ir.Rem ->
-    cycles st (Cost.div - 1);
-    let d = as_int b in
-    if Int64.equal d 0L then abort "remainder by zero";
-    int_op Int64.rem
-  | Ir.LAnd | Ir.LOr -> assert false (* short-circuit, handled in eval *)
-  | Ir.BAnd -> int_op Int64.logand
-  | Ir.BOr -> int_op Int64.logor
-  | Ir.BXor -> int_op Int64.logxor
-  | Ir.Shl -> int_op (fun x y -> Int64.shift_left x (Int64.to_int y land 63))
-  | Ir.Shr -> int_op (fun x y -> Int64.shift_right_logical x (Int64.to_int y land 63))
-  | Ir.Eq -> cmp ( = )
-  | Ir.Ne -> cmp ( <> )
-  | Ir.Lt -> cmp ( < )
-  | Ir.Le -> cmp ( <= )
-  | Ir.Gt -> cmp ( > )
-  | Ir.Ge -> cmp ( >= )
-  | Ir.FAdd -> fop ( +. )
-  | Ir.FSub -> fop ( -. )
-  | Ir.FMul -> fop ( *. )
-  | Ir.FDiv -> fop ( /. )
-  | Ir.FEq -> fcmp ( = )
-  | Ir.FLt -> fcmp ( < )
-  | Ir.FLe -> fcmp ( <= )
-
 let eval_unop st op a =
   base st 1;
   match op with
@@ -735,94 +674,161 @@ let setup_globals st =
       st.globals.(i) <- go)
     st.rp.globals
 
-(* ---- run scaffolding ------------------------------------------------- *)
+(* ---- the machine harness -------------------------------------------- *)
 
-(* Everything around the engine: typecheck, instrument, lower, build the
-   machine, run globals setup, dispatch into the engine's [main_body]
-   (which raises the usual control exceptions), and assemble the result.
-   [main_body st frame] must execute main's body in [frame]; a normal
-   return means main fell off the end. *)
-let run_with ~(config : config) (raw_prog : Ir.program)
-    ~(main_body : state -> frame -> unit) =
-  Typecheck.check_program raw_prog;
-  let prog, report =
-    match config.variant with
-    | Baseline -> (raw_prog, None)
-    | Ifp | Ifp_no_promote ->
-      let p, r =
-        Instrument.run
-          ~config:{ Instrument.infer_alloc_types = config.infer_alloc_types }
-          raw_prog
-      in
-      (p, Some r)
-  in
-  (* one-time lowering to slots; everything after runs hash-free *)
-  let rp = R.run prog in
-  let mem = Memory.create () in
-  let cache = Cache.create () in
-  (* map fixed regions *)
-  Memory.map mem ~base:Memmap.globals_base ~size:Memmap.globals_size;
-  Memory.map mem ~base:Memmap.layout_region_base ~size:Memmap.layout_region_size;
-  Memory.map mem ~base:Memmap.global_table_base
-    ~size:(Memmap.global_table_entries * 16);
-  Memory.map mem
-    ~base:(Int64.sub Memmap.stack_top (Int64.of_int Memmap.stack_size))
-    ~size:Memmap.stack_size;
-  let rng = Ifp_util.Prng.create config.seed in
-  let meta =
-    match config.variant with
-    | Baseline -> None
-    | Ifp | Ifp_no_promote ->
-      Some
-        (Meta.create ~temporal:config.temporal ~memory:mem
-           ~mac_key:(Ifp_metadata.Mac.fresh_key rng)
-           ~layout_region:(Memmap.layout_region_base, Memmap.layout_region_size)
-           ~global_table:(Memmap.global_table_base, Memmap.global_table_entries)
-           ())
-  in
-  let allocator =
-    match (config.variant, config.alloc) with
-    | Baseline, _ | _, Alloc_baseline ->
-      Ifp_alloc.Baseline.create ~memory:mem ~base:Memmap.heap_base
-        ~size:(1 lsl Memmap.heap_size_log2)
-    | _, Alloc_wrapped ->
-      let base_alloc =
+(* Which machine a config means, and how a run on it ends — the part of
+   a run both engines share, stated once so they cannot disagree on it.
+   None of it is interpretation: it picks the program (typechecked, and
+   instrumented under an IFP variant), maps the fixed regions, draws the
+   MAC key from [config.seed], picks the metadata store and allocator,
+   arms the fault injector, maps the exceptions a run ends with to its
+   outcome and assembles the result. Each engine keeps its own state and
+   interpretation on top. *)
+module Machine = struct
+  type t = {
+    prog : Ir.program;
+    report : Instrument.report option;
+    mem : Memory.t;
+    cache : Cache.t;
+    meta : Meta.t option;
+    allocator : Alloc.t;
+    inj : Fault.t option;
+  }
+
+  let build (config : config) (raw_prog : Ir.program) =
+    Typecheck.check_program raw_prog;
+    let prog, report =
+      match config.variant with
+      | Baseline -> (raw_prog, None)
+      | Ifp | Ifp_no_promote ->
+        let p, r =
+          Instrument.run
+            ~config:{ Instrument.infer_alloc_types = config.infer_alloc_types }
+            raw_prog
+        in
+        (p, Some r)
+    in
+    let mem = Memory.create () in
+    (* map fixed regions *)
+    Memory.map mem ~base:Memmap.globals_base ~size:Memmap.globals_size;
+    Memory.map mem ~base:Memmap.layout_region_base ~size:Memmap.layout_region_size;
+    Memory.map mem ~base:Memmap.global_table_base
+      ~size:(Memmap.global_table_entries * 16);
+    Memory.map mem
+      ~base:(Int64.sub Memmap.stack_top (Int64.of_int Memmap.stack_size))
+      ~size:Memmap.stack_size;
+    let rng = Ifp_util.Prng.create config.seed in
+    let meta =
+      match config.variant with
+      | Baseline -> None
+      | Ifp | Ifp_no_promote ->
+        Some
+          (Meta.create ~temporal:config.temporal ~memory:mem
+             ~mac_key:(Ifp_metadata.Mac.fresh_key rng)
+             ~layout_region:(Memmap.layout_region_base, Memmap.layout_region_size)
+             ~global_table:(Memmap.global_table_base, Memmap.global_table_entries)
+             ())
+    in
+    let allocator =
+      match (config.variant, config.alloc) with
+      | Baseline, _ | _, Alloc_baseline ->
         Ifp_alloc.Baseline.create ~memory:mem ~base:Memmap.heap_base
           ~size:(1 lsl Memmap.heap_size_log2)
-      in
-      let meta = Option.get meta in
-      Ifp_alloc.Wrapped.create ~meta ~tenv:prog.tenv ~base_alloc
-    | _, Alloc_subheap ->
-      let meta = Option.get meta in
-      Ifp_alloc.Subheap_alloc.create ~meta ~tenv:prog.tenv ~memory:mem
-        ~base:Memmap.heap_base ~size_log2:Memmap.heap_size_log2
-    | _, Alloc_mixed ->
-      (* split the heap: buddy arena in the lower half (naturally aligned
-         to its size), baseline/wrapped heap in the upper half *)
-      let meta = Option.get meta in
-      let half_log2 = Memmap.heap_size_log2 - 1 in
-      let subheap =
-        Ifp_alloc.Subheap_alloc.create ~meta ~tenv:prog.tenv ~memory:mem
-          ~base:Memmap.heap_base ~size_log2:half_log2
-      in
-      let base_alloc =
-        Ifp_alloc.Baseline.create ~memory:mem
-          ~base:(Int64.add Memmap.heap_base (Int64.of_int (1 lsl half_log2)))
-          ~size:(1 lsl half_log2)
-      in
-      let wrapped =
+      | _, Alloc_wrapped ->
+        let base_alloc =
+          Ifp_alloc.Baseline.create ~memory:mem ~base:Memmap.heap_base
+            ~size:(1 lsl Memmap.heap_size_log2)
+        in
+        let meta = Option.get meta in
         Ifp_alloc.Wrapped.create ~meta ~tenv:prog.tenv ~base_alloc
-      in
-      Ifp_alloc.Mixed.create ~subheap ~wrapped
-  in
-  let inj =
-    Option.map
-      (fun plan -> Fault.create plan ~mem ~heap_base:Memmap.heap_base)
-      config.fault_plan
-  in
-  (match (inj, meta) with
-  | Some i, Some m -> Fault.attach_meta i m
-  | _ -> ());
+      | _, Alloc_subheap ->
+        let meta = Option.get meta in
+        Ifp_alloc.Subheap_alloc.create ~meta ~tenv:prog.tenv ~memory:mem
+          ~base:Memmap.heap_base ~size_log2:Memmap.heap_size_log2
+      | _, Alloc_mixed ->
+        (* split the heap: buddy arena in the lower half (naturally aligned
+           to its size), baseline/wrapped heap in the upper half *)
+        let meta = Option.get meta in
+        let half_log2 = Memmap.heap_size_log2 - 1 in
+        let subheap =
+          Ifp_alloc.Subheap_alloc.create ~meta ~tenv:prog.tenv ~memory:mem
+            ~base:Memmap.heap_base ~size_log2:half_log2
+        in
+        let base_alloc =
+          Ifp_alloc.Baseline.create ~memory:mem
+            ~base:(Int64.add Memmap.heap_base (Int64.of_int (1 lsl half_log2)))
+            ~size:(1 lsl half_log2)
+        in
+        let wrapped =
+          Ifp_alloc.Wrapped.create ~meta ~tenv:prog.tenv ~base_alloc
+        in
+        Ifp_alloc.Mixed.create ~subheap ~wrapped
+    in
+    let inj =
+      Option.map
+        (fun plan -> Fault.create plan ~mem ~heap_base:Memmap.heap_base)
+        config.fault_plan
+    in
+    (match (inj, meta) with
+    | Some i, Some m -> Fault.attach_meta i m
+    | _ -> ());
+    { prog; report; mem; cache = Cache.create (); meta; allocator; inj }
+
+  (* Runs an engine on [m] and assembles the result. [setup ()] lays out
+     the globals (only an [Abort] may end it); [main ()] runs main's body
+     to its exit code. A trap is also recorded as the last trace event,
+     past [trace_limit]. [read_back ()] returns the engine's counters,
+     output and trace (both reversed) once the run has ended. *)
+  let run m ~setup ~main ~read_back =
+    let outcome, last =
+      match setup () with
+      | exception Abort r -> (Aborted r, [])
+      | () -> (
+        match main () with
+        | code -> (Finished code, [])
+        | exception Trap.Trap t -> (Trapped t, [ T_trap (Trap.to_string t) ])
+        | exception Abort r -> (Aborted r, [])
+        | exception Memory.Fault (_, a) -> (Trapped (Trap.Memory_fault a), [])
+        | exception Alloc.Out_of_memory msg -> (Aborted (Out_of_memory msg), [])
+        | exception Alloc.Double_free p ->
+          (* allocator-level detection (baseline heap header check):
+             modeled as the glibc-style abort, not an IFP trap *)
+          ( Aborted
+              (Program_error
+                 (Printf.sprintf "double free detected by allocator (0x%Lx)" p)),
+            [] ))
+    in
+    let counters, out, trace = read_back () in
+    let alloc_stats = m.allocator.stats () in
+    let layout_bytes =
+      match m.meta with Some meta -> Meta.layout_bytes_used meta | None -> 0
+    in
+    {
+      outcome;
+      counters;
+      alloc_stats;
+      alloc_extra = m.allocator.extra_stats ();
+      cache_accesses = Cache.accesses m.cache;
+      cache_misses = Cache.misses m.cache;
+      mem_footprint = alloc_stats.footprint_bytes + layout_bytes;
+      output = List.rev out;
+      instrument_report = m.report;
+      trace = List.rev_append trace last;
+      fault_injections =
+        (match m.inj with Some i -> Fault.injections i | None -> []);
+    }
+end
+
+(* The closure engine's run: lower to slots, build the state on the
+   shared machine, lay out the globals, then hand main's frame to the
+   engine's [main_body] (which raises the usual control exceptions; a
+   normal return means main fell off the end). *)
+let run_with ~(config : config) (raw_prog : Ir.program)
+    ~(main_body : state -> frame -> unit) =
+  let m = Machine.build config raw_prog in
+  let { Machine.prog; mem; cache; meta; allocator; inj; report = _ } = m in
+  (* one-time lowering to slots; everything after runs hash-free *)
+  let rp = R.run prog in
   let dummy_gobj =
     { gaddr = 0L; gsize = 0; gtagged = 0L; gbounds = Bounds.no_bounds }
   in
@@ -846,44 +852,11 @@ let run_with ~(config : config) (raw_prog : Ir.program)
       trace_left = config.trace_limit;
     }
   in
-  let outcome =
-    match setup_globals st with
-    | () -> (
-      if rp.main < 0 then Aborted (Program_error "no main function")
-      else
-        let frame = make_frame rp.funcs.(rp.main) in
-        match main_body st frame with
-        | () -> Finished 0L
-        | exception Return_exc v -> Finished (as_int v)
-        | exception Trap.Trap t ->
-          st.trace_left <- max st.trace_left 1;
-          trace st (fun _ -> T_trap (Trap.to_string t));
-          Trapped t
-        | exception Abort msg -> Aborted msg
-        | exception Memory.Fault (_, a) -> Trapped (Trap.Memory_fault a)
-        | exception Alloc.Out_of_memory msg -> Aborted (Out_of_memory msg)
-        | exception Alloc.Double_free p ->
-          (* allocator-level detection (baseline heap header check):
-             modeled as the glibc-style abort, not an IFP trap *)
-          Aborted
-            (Program_error (Printf.sprintf "double free detected by allocator (0x%Lx)" p)))
-    | exception Abort msg -> Aborted msg
-  in
-  let alloc_stats = st.allocator.stats () in
-  let layout_bytes =
-    match meta with Some m -> Meta.layout_bytes_used m | None -> 0
-  in
-  {
-    outcome;
-    counters = st.c;
-    alloc_stats;
-    alloc_extra = st.allocator.extra_stats ();
-    cache_accesses = Cache.accesses cache;
-    cache_misses = Cache.misses cache;
-    mem_footprint = alloc_stats.footprint_bytes + layout_bytes;
-    output = List.rev st.out;
-    instrument_report = report;
-    trace = List.rev st.trace;
-    fault_injections =
-      (match inj with Some i -> Fault.injections i | None -> []);
-  }
+  Machine.run m
+    ~setup:(fun () -> setup_globals st)
+    ~main:(fun () ->
+      if rp.main < 0 then abort "no main function";
+      match main_body st (make_frame rp.funcs.(rp.main)) with
+      | () -> 0L
+      | exception Return_exc v -> as_int v)
+    ~read_back:(fun () -> (st.c, st.out, st.trace))

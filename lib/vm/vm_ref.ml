@@ -2,12 +2,20 @@
    slot-resolution pass. Every variable access goes through a string
    Hashtbl and every size/offset/layout is recomputed per access.
 
-   Kept verbatim as the single independent oracle: (a) the vm, engines
-   and temporal suites and the fuzz oracle differentially check that
-   the closure-compiled Vm.run produces bit-identical counters, traces
-   and output, and (b) bin/ifp_bench reports the host cost per
-   simulated instruction of both engines. Do not "improve" this module
-   — its value is being the unoptimised executable specification. *)
+   Its interpretation is kept independent as the single oracle: (a) the
+   vm, engines and temporal suites and the fuzz oracle differentially
+   check that the closure-compiled Vm.run produces bit-identical
+   counters, traces and output, and (b) bin/ifp_bench reports the host
+   cost per simulated instruction of both engines. Do not "improve" the
+   interpretation — its value is being the unoptimised executable
+   specification.
+
+   Machine construction and result assembly are shared with Vm.run
+   through {!Rt.Machine}: which regions, metadata store, MAC key,
+   allocator and fault injector a config means, and how a run's ending
+   exception becomes its outcome. That is not semantics — it is the
+   machine both engines must run on for their outputs to be comparable
+   at all, and a second copy could only drift, never check the first. *)
 
 module Ctype = Ifp_types.Ctype
 module Layout = Ifp_types.Layout
@@ -22,7 +30,6 @@ module Promote = Ifp_metadata.Promote
 module Alloc = Ifp_alloc.Alloc_intf
 module Ir = Ifp_compiler.Ir
 module Typecheck = Ifp_compiler.Typecheck
-module Instrument = Ifp_compiler.Instrument
 module Fault = Ifp_faultinject.Fault
 
 (* The public vocabulary (config, variants, outcomes, trace events,
@@ -36,10 +43,9 @@ type value = VI of int64 | VF of float | VP of int64 * Bounds.t
 exception Return_exc of value
 exception Break_exc
 exception Continue_exc
-exception Abort of abort_reason
 
 (* runtime-detected ill-formed IR or guest misuse *)
-let abort msg = raise (Abort (Program_error msg))
+let abort msg = raise (Rt.Abort (Program_error msg))
 
 type gobj = {
   gaddr : int64;
@@ -89,7 +95,7 @@ let trace st ev =
 (* ---- cost charging ------------------------------------------------ *)
 
 let budget_check st =
-  if st.c.cycles > st.cfg.max_cycles then raise (Abort Budget_exhausted)
+  if st.c.cycles > st.cfg.max_cycles then raise (Rt.Abort Budget_exhausted)
 
 let base st n =
   st.c.base_instrs <- st.c.base_instrs + n;
@@ -686,7 +692,7 @@ and exec st frame (s : Ir.stmt) : unit =
       let addr =
         Ifp_util.Bits.align_down64 (Int64.sub st.sp (Int64.of_int footprint)) 16
       in
-      if Int64.compare addr st.stack_limit < 0 then raise (Abort Stack_overflow);
+      if Int64.compare addr st.stack_limit < 0 then raise (Rt.Abort Stack_overflow);
       st.sp <- addr;
       base st 1;
       Hashtbl.replace frame.locals name (addr, ty, ref addr)
@@ -852,83 +858,8 @@ let setup_globals st =
     st.prog.globals
 
 let run ?(config = default_config) (raw_prog : Ir.program) =
-  Typecheck.check_program raw_prog;
-  let prog, report =
-    match config.variant with
-    | Baseline -> (raw_prog, None)
-    | Ifp | Ifp_no_promote ->
-      let p, r =
-        Instrument.run
-          ~config:{ Instrument.infer_alloc_types = config.infer_alloc_types }
-          raw_prog
-      in
-      (p, Some r)
-  in
-  let mem = Memory.create () in
-  let cache = Cache.create () in
-  (* map fixed regions *)
-  Memory.map mem ~base:Memmap.globals_base ~size:Memmap.globals_size;
-  Memory.map mem ~base:Memmap.layout_region_base ~size:Memmap.layout_region_size;
-  Memory.map mem ~base:Memmap.global_table_base
-    ~size:(Memmap.global_table_entries * 16);
-  Memory.map mem
-    ~base:(Int64.sub Memmap.stack_top (Int64.of_int Memmap.stack_size))
-    ~size:Memmap.stack_size;
-  let rng = Ifp_util.Prng.create config.seed in
-  let meta =
-    match config.variant with
-    | Baseline -> None
-    | Ifp | Ifp_no_promote ->
-      Some
-        (Meta.create ~temporal:config.temporal ~memory:mem
-           ~mac_key:(Ifp_metadata.Mac.fresh_key rng)
-           ~layout_region:(Memmap.layout_region_base, Memmap.layout_region_size)
-           ~global_table:(Memmap.global_table_base, Memmap.global_table_entries)
-           ())
-  in
-  let allocator =
-    match (config.variant, config.alloc) with
-    | Baseline, _ | _, Alloc_baseline ->
-      Ifp_alloc.Baseline.create ~memory:mem ~base:Memmap.heap_base
-        ~size:(1 lsl Memmap.heap_size_log2)
-    | _, Alloc_wrapped ->
-      let base_alloc =
-        Ifp_alloc.Baseline.create ~memory:mem ~base:Memmap.heap_base
-          ~size:(1 lsl Memmap.heap_size_log2)
-      in
-      let meta = Option.get meta in
-      Ifp_alloc.Wrapped.create ~meta ~tenv:prog.tenv ~base_alloc
-    | _, Alloc_subheap ->
-      let meta = Option.get meta in
-      Ifp_alloc.Subheap_alloc.create ~meta ~tenv:prog.tenv ~memory:mem
-        ~base:Memmap.heap_base ~size_log2:Memmap.heap_size_log2
-    | _, Alloc_mixed ->
-      (* split the heap: buddy arena in the lower half (naturally aligned
-         to its size), baseline/wrapped heap in the upper half *)
-      let meta = Option.get meta in
-      let half_log2 = Memmap.heap_size_log2 - 1 in
-      let subheap =
-        Ifp_alloc.Subheap_alloc.create ~meta ~tenv:prog.tenv ~memory:mem
-          ~base:Memmap.heap_base ~size_log2:half_log2
-      in
-      let base_alloc =
-        Ifp_alloc.Baseline.create ~memory:mem
-          ~base:(Int64.add Memmap.heap_base (Int64.of_int (1 lsl half_log2)))
-          ~size:(1 lsl half_log2)
-      in
-      let wrapped =
-        Ifp_alloc.Wrapped.create ~meta ~tenv:prog.tenv ~base_alloc
-      in
-      Ifp_alloc.Mixed.create ~subheap ~wrapped
-  in
-  let inj =
-    Option.map
-      (fun plan -> Fault.create plan ~mem ~heap_base:Memmap.heap_base)
-      config.fault_plan
-  in
-  (match (inj, meta) with
-  | Some i, Some m -> Fault.attach_meta i m
-  | _ -> ());
+  let m = Rt.Machine.build config raw_prog in
+  let { Rt.Machine.prog; mem; cache; meta; allocator; inj; report = _ } = m in
   let st =
     {
       cfg = config;
@@ -956,11 +887,11 @@ let run ?(config = default_config) (raw_prog : Ir.program) =
       Hashtbl.replace st.funcs f.fname f;
       Hashtbl.replace st.fmeta f.fname (func_meta_of f))
     prog.funcs;
-  let outcome =
-    match setup_globals st with
-    | () -> (
+  Rt.Machine.run m
+    ~setup:(fun () -> setup_globals st)
+    ~main:(fun () ->
       match Hashtbl.find_opt st.funcs "main" with
-      | None -> Aborted (Program_error "no main function")
+      | None -> abort "no main function"
       | Some mainf -> (
         let frame =
           {
@@ -970,36 +901,6 @@ let run ?(config = default_config) (raw_prog : Ir.program) =
           }
         in
         match List.iter (exec st frame) mainf.body with
-        | () -> Finished 0L
-        | exception Return_exc v -> Finished (as_int v)
-        | exception Trap.Trap t ->
-          st.trace_left <- max st.trace_left 1;
-          trace st (fun _ -> T_trap (Trap.to_string t));
-          Trapped t
-        | exception Abort msg -> Aborted msg
-        | exception Memory.Fault (_, a) -> Trapped (Trap.Memory_fault a)
-        | exception Alloc.Out_of_memory msg -> Aborted (Out_of_memory msg)
-        | exception Alloc.Double_free p ->
-          Aborted
-            (Program_error
-               (Printf.sprintf "double free detected by allocator (0x%Lx)" p))))
-    | exception Abort msg -> Aborted msg
-  in
-  let alloc_stats = st.allocator.stats () in
-  let layout_bytes =
-    match meta with Some m -> Meta.layout_bytes_used m | None -> 0
-  in
-  {
-    outcome;
-    counters = st.c;
-    alloc_stats;
-    alloc_extra = st.allocator.extra_stats ();
-    cache_accesses = Cache.accesses cache;
-    cache_misses = Cache.misses cache;
-    mem_footprint = alloc_stats.footprint_bytes + layout_bytes;
-    output = List.rev st.out;
-    instrument_report = report;
-    trace = List.rev st.trace;
-    fault_injections =
-      (match inj with Some i -> Fault.injections i | None -> []);
-  }
+        | () -> 0L
+        | exception Return_exc v -> as_int v))
+    ~read_back:(fun () -> (st.c, st.out, st.trace))

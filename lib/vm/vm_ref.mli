@@ -7,7 +7,11 @@
     per access. It exists as the executable specification the production
     engine is differentially tested against (the vm, engines and temporal
     suites, the fuzz oracle, the [ifp_bench] comparison); it is not used
-    by the experiment drivers. *)
+    by the experiment drivers.
+
+    It builds its machine and assembles its result through the same
+    {!Rt.Machine} harness as {!Vm.run}; what it keeps independent is the
+    interpretation. *)
 
 val run : ?config:Vm.config -> Ifp_compiler.Ir.program -> Vm.result
 (** Same contract as {!Vm.run}, including the concurrency guarantees. *)

@@ -62,6 +62,7 @@ let result_sig (r : Vm.result) =
     r.Vm.mem_footprint;
   f "output=%s\n" (String.concat "|" r.Vm.output);
   f "trace=%s\n" (String.concat ";" (List.map trace_str r.Vm.trace));
+  f "injections=%s\n" (String.concat "|" r.Vm.fault_injections);
   Buffer.contents b
 
 let check_all_engines_agree name config prog =
@@ -405,6 +406,44 @@ let test_random_programs () =
       random_configs
   done
 
+(* ---- armed fault injection ------------------------------------------ *)
+
+(* Both engines arm the injector on the same machine, so a corruption
+   must land at the same dynamic instant and play out identically:
+   every fault class, two seeds, on both fault-campaign victims. *)
+let test_armed_faults () =
+  let module Fault = Ifp_faultinject.Fault in
+  let module Victim = Ifp_faultinject.Victim in
+  let armed_configs =
+    [
+      ("baseline", Vm.baseline);
+      ("ifp-wrapped", Vm.ifp_wrapped);
+      ("ifp-subheap", Vm.ifp_subheap);
+      ("ifp-wrapped-t", { Vm.ifp_wrapped with temporal = true });
+    ]
+  in
+  List.iter
+    (fun (pname, prog) ->
+      List.iter
+        (fun cls ->
+          List.iter
+            (fun seed ->
+              let plan = Fault.default_plan cls ~seed in
+              List.iter
+                (fun (cname, config) ->
+                  check_all_engines_agree
+                    (Printf.sprintf "%s/%s/%Ld/%s" pname (Fault.class_name cls)
+                       seed cname)
+                    { config with Vm.fault_plan = Some plan }
+                    prog)
+                armed_configs)
+            [ 1L; 2L ])
+        Fault.all_classes)
+    [
+      ("victim", Victim.program ());
+      ("temporal-victim", Victim.temporal_program ());
+    ]
+
 (* ---- dispatch and profiling ----------------------------------------- *)
 
 let test_engines_dispatch () =
@@ -445,14 +484,33 @@ let test_profile () =
     ticks := !ticks +. 1.0;
     !ticks
   in
-  let p = Profile.create ~clock in
   let w = Option.get (Ifp_workloads.Registry.find "treeadd") in
   let prog = Lazy.force w.Ifp_workloads.Workload.prog in
-  let r = Vm.run ~config:Vm.ifp_subheap ~profile:p prog in
-  (match r.Vm.outcome with
-  | Vm.Finished _ -> ()
-  | o -> Alcotest.fail ("treeadd did not finish: " ^ outcome_str o));
-  let rows = Profile.report p in
+  let profiled (cname, config) =
+    let p = Profile.create ~clock in
+    let r = Vm.run ~config ~profile:p prog in
+    (match r.Vm.outcome with
+    | Vm.Finished _ -> ()
+    | o -> Alcotest.fail ("treeadd did not finish: " ^ outcome_str o));
+    (* probes observe; they must not change what runs *)
+    Alcotest.check Alcotest.string
+      (cname ^ ": profiled run equals unprofiled")
+      (result_sig (Vm.run ~config prog))
+      (result_sig r);
+    let rows = Profile.report p in
+    Alcotest.(check bool)
+      (cname ^ ": cmp probe counted")
+      true
+      (List.exists (fun (r : Profile.row) -> r.op = "cmp" && r.count > 0) rows);
+    rows
+  in
+  List.iter
+    (fun cfg -> ignore (profiled cfg))
+    [
+      ("baseline", Vm.baseline);
+      ("ifp-wrapped", { Vm.ifp_wrapped with trace_limit = 64 });
+    ];
+  let rows = profiled ("ifp-subheap", { Vm.ifp_subheap with trace_limit = 64 }) in
   Alcotest.(check bool) "has rows" true (List.length rows > 3);
   let total_count =
     List.fold_left (fun acc (row : Profile.row) -> acc + row.count) 0 rows
@@ -477,6 +535,8 @@ let tests =
       test_local_registration;
     Alcotest.test_case "engines agree on random programs" `Quick
       test_random_programs;
+    Alcotest.test_case "engines agree with a fault injector armed" `Quick
+      test_armed_faults;
     Alcotest.test_case "engine dispatch and names" `Quick test_engines_dispatch;
     Alcotest.test_case "closure dispatch profiler" `Quick test_profile;
   ]
