@@ -8,17 +8,6 @@ type token =
 
 exception Lex_error of string * int
 
-let keywords =
-  [ "struct"; "global"; "legacy"; "let"; "var"; "if"; "else"; "while";
-    "return"; "break"; "continue"; "free"; "malloc"; "malloc_bytes"; "null";
-    "sizeof"; "i8"; "i16"; "i32"; "i64"; "f64"; "void"; "cast" ]
-
-(* multi-character operators first (longest match) *)
-let puncts =
-  [ "<<"; ">>"; "<="; ">="; "=="; "!="; "&&"; "||"; "->"; "+"; "-"; "*"; "/";
-    "%"; "&"; "|"; "^"; "!"; "~"; "<"; ">"; "="; "("; ")"; "{"; "}"; "[";
-    "]"; ";"; ","; "."; ":" ]
-
 type t = {
   src : string;
   mutable pos : int;
@@ -27,103 +16,133 @@ type t = {
   mutable tok2 : token option;
 }
 
-let is_ident_start c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'
-let is_ident c = is_ident_start c || (c >= '0' && c <= '9')
 let is_digit c = c >= '0' && c <= '9'
 
+let is_hex c =
+  match c with '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> true | _ -> false
+
+(* whitespace and comments, counting newlines *)
 let rec skip_ws t =
-  if t.pos >= String.length t.src then ()
-  else
-    match t.src.[t.pos] with
-    | ' ' | '\t' | '\r' ->
-      t.pos <- t.pos + 1;
-      skip_ws t
+  let src = t.src in
+  let len = String.length src in
+  let p = ref t.pos in
+  while
+    !p < len
+    &&
+    match String.unsafe_get src !p with
+    | ' ' | '\t' | '\r' -> true
     | '\n' ->
-      t.pos <- t.pos + 1;
       t.line_no <- t.line_no + 1;
-      skip_ws t
-    | '/' when t.pos + 1 < String.length t.src && t.src.[t.pos + 1] = '/' ->
-      while t.pos < String.length t.src && t.src.[t.pos] <> '\n' do
+      true
+    | _ -> false
+  do
+    incr p
+  done;
+  t.pos <- !p;
+  if !p + 1 < len && src.[!p] = '/' then
+    match src.[!p + 1] with
+    | '/' ->
+      while t.pos < len && src.[t.pos] <> '\n' do
         t.pos <- t.pos + 1
       done;
       skip_ws t
-    | '/' when t.pos + 1 < String.length t.src && t.src.[t.pos + 1] = '*' ->
-      let rec go p =
-        if p + 1 >= String.length t.src then
-          raise (Lex_error ("unterminated comment", t.line_no))
-        else if t.src.[p] = '*' && t.src.[p + 1] = '/' then t.pos <- p + 2
+    | '*' ->
+      let rec go i =
+        if i + 1 >= len then raise (Lex_error ("unterminated comment", t.line_no))
+        else if src.[i] = '*' && src.[i + 1] = '/' then t.pos <- i + 2
         else begin
-          if t.src.[p] = '\n' then t.line_no <- t.line_no + 1;
-          go (p + 1)
+          if src.[i] = '\n' then t.line_no <- t.line_no + 1;
+          go (i + 1)
         end
       in
       go (t.pos + 2);
       skip_ws t
     | _ -> ()
 
+(* advance past a [pred] run *)
+let skip_while t pred =
+  while t.pos < String.length t.src && pred t.src.[t.pos] do
+    t.pos <- t.pos + 1
+  done
+
+let int_literal t text =
+  match Int64.of_string text with
+  | n -> INT n
+  | exception Failure _ -> raise (Lex_error ("integer literal out of range", t.line_no))
+
+let number t =
+  let start = t.pos in
+  skip_while t is_digit;
+  let more = t.pos < String.length t.src in
+  if more && (t.src.[t.pos] = 'x' || t.src.[t.pos] = 'X') && t.pos = start + 1
+     && t.src.[start] = '0'
+  then begin
+    t.pos <- t.pos + 1;
+    let hstart = t.pos in
+    skip_while t is_hex;
+    if t.pos = hstart then raise (Lex_error ("bad hex literal", t.line_no));
+    int_literal t ("0x" ^ String.sub t.src hstart (t.pos - hstart))
+  end
+  else if more && t.src.[t.pos] = '.' then begin
+    t.pos <- t.pos + 1;
+    skip_while t is_digit;
+    FLOAT (float_of_string (String.sub t.src start (t.pos - start)))
+  end
+  else int_literal t (String.sub t.src start (t.pos - start))
+
+let word t =
+  let src = t.src in
+  let start = t.pos in
+  let p = ref (start + 1) in
+  while
+    !p < String.length src
+    && match String.unsafe_get src !p with
+       | 'a' .. 'z' | 'A' .. 'Z' | '_' | '0' .. '9' -> true
+       | _ -> false
+  do
+    incr p
+  done;
+  t.pos <- !p;
+  match String.sub src start (!p - start) with
+  | ( "struct" | "global" | "legacy" | "let" | "var" | "if" | "else" | "while"
+    | "return" | "break" | "continue" | "free" | "malloc" | "malloc_bytes"
+    | "null" | "sizeof" | "i8" | "i16" | "i32" | "i64" | "f64" | "void"
+    | "cast" ) as s ->
+    KW s
+  | s -> IDENT s
+
+(* one shared token per single-character operator *)
+let single = Array.init 128 (fun c -> PUNCT (String.make 1 (Char.chr c)))
+
+let next_is t c = t.pos + 1 < String.length t.src && t.src.[t.pos + 1] = c
+
+let adv t n tok =
+  t.pos <- t.pos + n;
+  tok
+
+(* [two] when the next character is [c2], else the current character *)
+let pair t c2 two =
+  if next_is t c2 then adv t 2 two else adv t 1 single.(Char.code t.src.[t.pos])
+
+(* one dispatch on the first character per token *)
 let scan t =
   skip_ws t;
   if t.pos >= String.length t.src then EOF
   else
-    let c = t.src.[t.pos] in
-    if is_digit c then begin
-      let start = t.pos in
-      while t.pos < String.length t.src && is_digit t.src.[t.pos] do
-        t.pos <- t.pos + 1
-      done;
-      (* hex *)
-      if
-        t.pos < String.length t.src
-        && (t.src.[t.pos] = 'x' || t.src.[t.pos] = 'X')
-        && t.pos = start + 1
-        && t.src.[start] = '0'
-      then begin
-        t.pos <- t.pos + 1;
-        let hstart = t.pos in
-        while
-          t.pos < String.length t.src
-          && (is_digit t.src.[t.pos]
-             || (Char.lowercase_ascii t.src.[t.pos] >= 'a'
-                && Char.lowercase_ascii t.src.[t.pos] <= 'f'))
-        do
-          t.pos <- t.pos + 1
-        done;
-        if t.pos = hstart then raise (Lex_error ("bad hex literal", t.line_no));
-        INT (Int64.of_string ("0x" ^ String.sub t.src hstart (t.pos - hstart)))
-      end
-      else if t.pos < String.length t.src && t.src.[t.pos] = '.' then begin
-        t.pos <- t.pos + 1;
-        while t.pos < String.length t.src && is_digit t.src.[t.pos] do
-          t.pos <- t.pos + 1
-        done;
-        FLOAT (float_of_string (String.sub t.src start (t.pos - start)))
-      end
-      else INT (Int64.of_string (String.sub t.src start (t.pos - start)))
-    end
-    else if is_ident_start c then begin
-      let start = t.pos in
-      while t.pos < String.length t.src && is_ident t.src.[t.pos] do
-        t.pos <- t.pos + 1
-      done;
-      let s = String.sub t.src start (t.pos - start) in
-      if List.mem s keywords then KW s else IDENT s
-    end
-    else
-      let rec try_puncts = function
-        | [] ->
-          raise (Lex_error (Printf.sprintf "unexpected character %c" c, t.line_no))
-        | p :: rest ->
-          let n = String.length p in
-          if
-            t.pos + n <= String.length t.src
-            && String.equal (String.sub t.src t.pos n) p
-          then begin
-            t.pos <- t.pos + n;
-            PUNCT p
-          end
-          else try_puncts rest
-      in
-      try_puncts puncts
+    match t.src.[t.pos] with
+    | '0' .. '9' -> number t
+    | 'a' .. 'z' | 'A' .. 'Z' | '_' -> word t
+    | '<' -> if next_is t '<' then adv t 2 (PUNCT "<<") else pair t '=' (PUNCT "<=")
+    | '>' -> if next_is t '>' then adv t 2 (PUNCT ">>") else pair t '=' (PUNCT ">=")
+    | '=' -> pair t '=' (PUNCT "==")
+    | '!' -> pair t '=' (PUNCT "!=")
+    | '&' -> pair t '&' (PUNCT "&&")
+    | '|' -> pair t '|' (PUNCT "||")
+    | '-' -> pair t '>' (PUNCT "->")
+    | ( '+' | '*' | '/' | '%' | '^' | '~' | '(' | ')' | '{' | '}' | '[' | ']' | ';'
+      | ',' | '.' | ':' ) as c ->
+      adv t 1 single.(Char.code c)
+    | c -> raise (Lex_error (Printf.sprintf "unexpected character %c" c, t.line_no))
 
 let create src =
   let t = { src; pos = 0; line_no = 1; tok = EOF; tok2 = None } in

@@ -1,11 +1,23 @@
-(** Hand-written lexer for the MiniC surface syntax (see {!Parser}). *)
+(** Hand-written lexer for the MiniC surface syntax (see {!Parser}).
+
+    One dispatch on the first character per token: two-character
+    operators look one character further ([<<] [>>] [<=] [>=] [==] [!=]
+    [&&] [||] [->]) and take the longest match; keywords are told from
+    identifiers by one [match] on the word. Operator tokens are shared
+    constants. [//] and [/* */] comments and whitespace are skipped;
+    {!line} counts newlines up to the end of the lookahead token.
+
+    Every failure is a {!Lex_error}: an unexpected character, an
+    unterminated block comment, a [0x] with no digits, or an integer
+    literal out of range: decimal above [2^63-1], hex above [2^64-1]
+    (hex from [2^63] up wraps to a negative [int64]). *)
 
 type token =
   | INT of int64
   | FLOAT of float
   | IDENT of string
   | KW of string  (** keyword: struct, global, legacy, let, var, if, … *)
-  | PUNCT of string  (** operator or punctuation, longest-match *)
+  | PUNCT of string  (** operator or punctuation, longest match *)
   | EOF
 
 type t

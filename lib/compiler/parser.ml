@@ -100,113 +100,75 @@ let rvalue st (p : pexpr) : Ir.expr * Ctype.t =
     | Ctype.Void -> err st "void value"
     | _ -> assert false)
 
-and coerce_f64 (e, ty) = if Ctype.equal ty Ctype.F64 then e else Ir.Unop (Ir.I2F, e)
+let coerce_f64 (e, ty) = if Ctype.equal ty Ctype.F64 then e else Ir.Unop (Ir.I2F, e)
 
 (* ---- expression grammar (precedence climbing) ---------------------- *)
 
-let rec parse_expr st : pexpr = parse_or st
+(* a binary operator builds its value from the rvalues of both operands *)
+type builder = st -> Ir.expr * Ctype.t -> Ir.expr * Ctype.t -> Ir.expr * Ctype.t
 
-and parse_or st =
-  let rec go acc =
-    if accept_punct st "||" then
-      let l, _ = rvalue st acc in
-      let r, _ = rvalue st (parse_and st) in
-      go (Val (Ir.Binop (Ir.LOr, l, r), Ctype.I64))
-    else acc
-  in
-  go (parse_and st)
-
-and parse_and st =
-  let rec go acc =
-    if accept_punct st "&&" then
-      let l, _ = rvalue st acc in
-      let r, _ = rvalue st (parse_bor st) in
-      go (Val (Ir.Binop (Ir.LAnd, l, r), Ctype.I64))
-    else acc
-  in
-  go (parse_bor st)
-
-and binop_level st ~ops ~next acc0 =
-  let rec go acc =
-    match L.peek st.lx with
-    | L.PUNCT p when List.mem_assoc p ops ->
-      ignore (L.next st.lx);
-      let mk = List.assoc p ops in
-      let l = rvalue st acc in
-      let r = rvalue st (next st) in
-      let e, ty = mk st l r in
-      go (Val (e, ty))
-    | _ -> acc
-  in
-  go acc0
-
-and arith name iop fop st (le, lt) (re, rt) =
+let arith name iop fop : builder =
+ fun st (le, lt) (re, rt) ->
   if Ctype.equal lt Ctype.F64 || Ctype.equal rt Ctype.F64 then
     match fop with
     | Some f -> (Ir.Binop (f, coerce_f64 (le, lt), coerce_f64 (re, rt)), Ctype.F64)
     | None -> err st "operator %s not defined on f64" name
   else (Ir.Binop (iop, le, re), Ctype.I64)
 
-and cmp iop fop st (le, lt) (re, rt) =
+let cmp iop fop : builder =
+ fun st (le, lt) (re, rt) ->
   if Ctype.equal lt Ctype.F64 || Ctype.equal rt Ctype.F64 then
     match fop with
     | Some f -> (Ir.Binop (f, coerce_f64 (le, lt), coerce_f64 (re, rt)), Ctype.I64)
-    | None ->
-      (* a >= b  ==>  !(a < b); a > b ==> b < a handled at call sites *)
-      err st "comparison not defined on f64"
+    | None -> err st "comparison not defined on f64"
   else (Ir.Binop (iop, le, re), Ctype.I64)
 
-and parse_bor st =
-  binop_level st
-    ~ops:[ ("|", arith "|" Ir.BOr None) ]
-    ~next:parse_bxor (parse_bxor st)
+(* a > b is b < a, a >= b is b <= a *)
+let swapped (b : builder) : builder = fun st l r -> b st r l
 
-and parse_bxor st =
-  binop_level st
-    ~ops:[ ("^", arith "^" Ir.BXor None) ]
-    ~next:parse_band (parse_band st)
+let logical op : builder = fun _ (l, _) (r, _) -> (Ir.Binop (op, l, r), Ctype.I64)
 
-and parse_band st =
-  binop_level st
-    ~ops:[ ("&", arith "&" Ir.BAnd None) ]
-    ~next:parse_eq (parse_eq st)
+(* the ten binary precedence levels, loosest (1) to tightest (10) *)
+let binop_info = function
+  | "||" -> Some (1, logical Ir.LOr)
+  | "&&" -> Some (2, logical Ir.LAnd)
+  | "|" -> Some (3, arith "|" Ir.BOr None)
+  | "^" -> Some (4, arith "^" Ir.BXor None)
+  | "&" -> Some (5, arith "&" Ir.BAnd None)
+  | "==" -> Some (6, cmp Ir.Eq (Some Ir.FEq))
+  | "!=" -> Some (6, cmp Ir.Ne None)
+  | "<" -> Some (7, cmp Ir.Lt (Some Ir.FLt))
+  | "<=" -> Some (7, cmp Ir.Le (Some Ir.FLe))
+  | ">" -> Some (7, swapped (cmp Ir.Lt (Some Ir.FLt)))
+  | ">=" -> Some (7, swapped (cmp Ir.Le (Some Ir.FLe)))
+  | "<<" -> Some (8, arith "<<" Ir.Shl None)
+  | ">>" -> Some (8, arith ">>" Ir.Shr None)
+  | "+" -> Some (9, arith "+" Ir.Add (Some Ir.FAdd))
+  | "-" -> Some (9, arith "-" Ir.Sub (Some Ir.FSub))
+  | "*" -> Some (10, arith "*" Ir.Mul (Some Ir.FMul))
+  | "/" -> Some (10, arith "/" Ir.Div (Some Ir.FDiv))
+  | "%" -> Some (10, arith "%" Ir.Rem None)
+  | _ -> None
 
-and parse_eq st =
-  binop_level st
-    ~ops:[ ("==", cmp Ir.Eq (Some Ir.FEq)); ("!=", cmp Ir.Ne None) ]
-    ~next:parse_rel (parse_rel st)
+let rec parse_expr st : pexpr = parse_binary st 1
 
-and parse_rel st =
-  let gt st l r = cmp Ir.Lt (Some Ir.FLt) st r l in
-  let ge st l r =
-    (* a >= b  <=>  b <= a *)
-    cmp Ir.Le (Some Ir.FLe) st r l
+(* operators of precedence [min_prec] and tighter, left-associative: the
+   left operand's rvalue is taken before the right operand is parsed *)
+and parse_binary st min_prec =
+  let rec go acc =
+    match L.peek st.lx with
+    | L.PUNCT p -> (
+      match binop_info p with
+      | Some (prec, build) when prec >= min_prec ->
+        ignore (L.next st.lx);
+        let l = rvalue st acc in
+        let r = rvalue st (parse_binary st (prec + 1)) in
+        let e, ty = build st l r in
+        go (Val (e, ty))
+      | _ -> acc)
+    | _ -> acc
   in
-  binop_level st
-    ~ops:
-      [ ("<", cmp Ir.Lt (Some Ir.FLt)); ("<=", cmp Ir.Le (Some Ir.FLe));
-        (">", gt); (">=", ge) ]
-    ~next:parse_shift (parse_shift st)
-
-and parse_shift st =
-  binop_level st
-    ~ops:[ ("<<", arith "<<" Ir.Shl None); (">>", arith ">>" Ir.Shr None) ]
-    ~next:parse_add (parse_add st)
-
-and parse_add st =
-  binop_level st
-    ~ops:
-      [ ("+", arith "+" Ir.Add (Some Ir.FAdd));
-        ("-", arith "-" Ir.Sub (Some Ir.FSub)) ]
-    ~next:parse_mul (parse_mul st)
-
-and parse_mul st =
-  binop_level st
-    ~ops:
-      [ ("*", arith "*" Ir.Mul (Some Ir.FMul));
-        ("/", arith "/" Ir.Div (Some Ir.FDiv));
-        ("%", arith "%" Ir.Rem None) ]
-    ~next:parse_unary (parse_unary st)
+  go (parse_unary st)
 
 and parse_unary st : pexpr =
   match L.peek st.lx with
@@ -342,10 +304,12 @@ and parse_primary st : pexpr =
     expect_punct st "(";
     let ty = parse_type st in
     expect_punct st ")";
+    Option.iter (err st "%s") (Typecheck.layout_error st.tenv ty);
     Val (Ir.Int (Int64.of_int (Ctype.sizeof st.tenv ty)), Ctype.I64)
   | L.IDENT name -> (
-    if L.peek st.lx = L.PUNCT "(" then parse_call st name
-    else
+    match L.peek st.lx with
+    | L.PUNCT "(" -> parse_call st name
+    | _ -> (
       match Hashtbl.find_opt st.scope name with
       | Some (ty, false) -> Val (Ir.Var name, ty)
       | Some (ty, true) ->
@@ -355,7 +319,7 @@ and parse_primary st : pexpr =
         | Some ty when Ctype.is_scalar ty -> Val (Ir.Load_global name, ty)
         | Some ty ->
           Place { base = Ir.Addr_global name; pointee = ty; steps = []; ty }
-        | None -> err st "unknown identifier %s" name))
+        | None -> err st "unknown identifier %s" name)))
   | tok -> err st "unexpected %s in expression" (L.token_to_string tok)
 
 (* ---- statements ------------------------------------------------------ *)
@@ -482,7 +446,11 @@ let parse_struct_decl st =
   in
   let fs = fields [] in
   expect_punct st ";";
-  st.tenv <- Ctype.declare st.tenv { Ctype.sname = name; fields = fs }
+  match Ctype.declare st.tenv { Ctype.sname = name; fields = fs } with
+  | tenv ->
+    st.tenv <- tenv;
+    name
+  | exception Invalid_argument _ -> err st "duplicate struct %s" name
 
 let parse_params st =
   expect_punct st "(";
@@ -564,7 +532,7 @@ let parse src =
     }
   in
   (* pass 1: declarations and signatures (bodies skipped) *)
-  let lx_save = st.lx in
+  let decls = ref [] in
   let rec sig_pass () =
     match L.peek st.lx with
     | L.EOF -> ()
@@ -572,7 +540,8 @@ let parse src =
       (* full struct parse builds the tenv in order; at top level the
          'struct' keyword always begins a declaration (functions refer to
          struct types by bare name) *)
-      parse_struct_decl st;
+      let line = L.line st.lx in
+      decls := (parse_struct_decl st, line) :: !decls;
       sig_pass ()
     | L.KW "global" ->
       ignore (L.next st.lx);
@@ -583,13 +552,9 @@ let parse src =
       Hashtbl.replace st.globals name ty;
       sig_pass ()
     | _ ->
-      let _legacy =
-        match L.peek st.lx with
-        | L.KW "legacy" ->
-          ignore (L.next st.lx);
-          true
-        | _ -> false
-      in
+      (match L.peek st.lx with
+      | L.KW "legacy" -> ignore (L.next st.lx)
+      | _ -> ());
       let ret = parse_type st in
       let name = expect_ident st in
       let params = parse_params st in
@@ -607,7 +572,13 @@ let parse src =
       sig_pass ()
   in
   sig_pass ();
-  ignore lx_save;
+  (* every struct has a layout before a body asks for one *)
+  List.iter
+    (fun (name, line) ->
+      Option.iter
+        (fun m -> raise (Parse_error (m, line)))
+        (Typecheck.layout_error st.tenv (Ctype.Struct name)))
+    (List.rev !decls);
   (* pass 2: full parse with all signatures known *)
   let st = { st with lx = L.create src } in
   let funcs = ref [] in

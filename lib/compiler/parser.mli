@@ -42,6 +42,16 @@
 exception Parse_error of string * int  (** message, line *)
 
 val parse : string -> Ir.program
-(** @raise Parse_error on syntax or local-typing errors. The result is
-    not yet checked by {!Typecheck} — callers (e.g. {!Ifp_vm.Vm.run}) do
-    that. *)
+(** Total on any string: returns a program or raises one of the two
+    exceptions below, nothing else. The result is not yet checked by
+    {!Typecheck} — callers (e.g. {!Ifp_vm.Vm.run}) do that, and
+    {!Typecheck.check_program} is total on every program [parse]
+    returns. Binary operators bind in ten C levels, loosest first:
+    [||], [&&], [|], [^], [&], [== !=], [< <= > >=], [<< >>], [+ -],
+    [* / %], all left-associative; [a > b] is built as [b < a] and
+    [a >= b] as [b <= a].
+    @raise Parse_error on syntax or local-typing errors, including a
+    [sizeof] of a struct that is undeclared (["unknown struct Q"]) or
+    contains itself, and a struct declared twice.
+    @raise Lexer.Lex_error on malformed tokens: an unexpected character,
+    an unterminated comment, a bad or out-of-range integer literal. *)

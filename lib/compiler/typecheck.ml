@@ -30,6 +30,19 @@ let compat a b =
   | Ctype.Ptr x, Ctype.Ptr y -> pointee_compat x y
   | x, y -> Ctype.equal x y
 
+let layout_error tenv ty =
+  let rec go path = function
+    | Ctype.Array (elt, _) -> go path elt
+    | Ctype.Struct s when List.mem s path ->
+      Some (Printf.sprintf "struct %s contains itself" s)
+    | Ctype.Struct s -> (
+      match Ctype.lookup tenv s with
+      | def -> List.find_map (fun (f : Ctype.field) -> go (s :: path) f.fty) def.fields
+      | exception Not_found -> Some ("unknown struct " ^ s))
+    | Ctype.(Void | I8 | I16 | I32 | I64 | F64 | Ptr _) -> None
+  in
+  go [] ty
+
 let type_of_gep tenv pointee steps =
   let rec go ty steps ~leading =
     match steps with
@@ -74,6 +87,16 @@ type ctx = {
   fn : Ir.func;
 }
 
+(* a type used by value needs a layout; check_program has checked those
+   of the declared structs, so it is enough that the struct is declared *)
+let rec require_layout ctx = function
+  | Ctype.Array (elt, _) -> require_layout ctx elt
+  | Ctype.Struct s -> (
+    match Ctype.lookup ctx.tenv s with
+    | _ -> ()
+    | exception Not_found -> err "%s: unknown struct %s" ctx.fn.fname s)
+  | Ctype.(Void | I8 | I16 | I32 | I64 | F64 | Ptr _) -> ()
+
 let var_type ctx name =
   match Hashtbl.find_opt ctx.vars name with
   | Some (`Reg ty | `Stack ty) -> ty
@@ -112,6 +135,7 @@ let rec type_of ctx (e : Ir.expr) : Ctype.t =
     | Some _ -> err "%s: by-name access to aggregate global %s" ctx.fn.fname g
     | None -> err "%s: unknown global %s" ctx.fn.fname g)
   | Gep (pointee, base, steps) ->
+    require_layout ctx pointee;
     let bty = type_of ctx base in
     if not (compat bty (Ctype.Ptr pointee)) then
       err "%s: Gep base has type %s, expected %s*" ctx.fn.fname
@@ -154,6 +178,7 @@ let rec type_of ctx (e : Ir.expr) : Ctype.t =
         args f.params;
       f.ret)
   | Malloc (ty, n) ->
+    require_layout ctx ty;
     if not (is_int (type_of ctx n)) then
       err "%s: malloc count not an integer" ctx.fn.fname;
     Ctype.Ptr ty
@@ -162,10 +187,12 @@ let rec type_of ctx (e : Ir.expr) : Ctype.t =
       err "%s: malloc_bytes size not an integer" ctx.fn.fname;
     Ctype.Ptr Ctype.I8
   | Malloc_sized (ty, n) ->
+    require_layout ctx ty;
     if not (is_int (type_of ctx n)) then
       err "%s: malloc_sized size not an integer" ctx.fn.fname;
     Ctype.Ptr ty
   | Cast (ty, e) ->
+    require_layout ctx ty;
     let ety = type_of ctx e in
     (match (ty, ety) with
     | (Ctype.Ptr _ | Ctype.I64), _ | _, (Ctype.Ptr _ | Ctype.I64) -> ()
@@ -256,6 +283,7 @@ let rec check_stmt ctx ~in_loop (s : Ir.stmt) =
   | Decl_local (name, ty) ->
     if Hashtbl.mem ctx.vars name then
       err "%s: duplicate variable %s" ctx.fn.fname name;
+    require_layout ctx ty;
     if Ctype.sizeof ctx.tenv ty <= 0 then
       err "%s: zero-sized local %s" ctx.fn.fname name;
     Hashtbl.replace ctx.vars name (`Stack ty)
@@ -323,6 +351,9 @@ let check_func prog f =
   List.iter (check_stmt ctx ~in_loop:false) f.Ir.body
 
 let check_program prog =
+  List.iter
+    (fun (s, _) -> Option.iter (err "%s") (layout_error prog.Ir.tenv (Ctype.Struct s)))
+    (Ctype.bindings prog.Ir.tenv);
   let seen = Hashtbl.create 16 in
   List.iter
     (fun (f : Ir.func) ->
@@ -333,6 +364,7 @@ let check_program prog =
   List.iter
     (fun (g : Ir.global) ->
       if Hashtbl.mem gseen g.gname then err "duplicate global %s" g.gname;
+      Option.iter (err "global %s: %s" g.gname) (layout_error prog.Ir.tenv g.gty);
       Hashtbl.replace gseen g.gname ())
     prog.Ir.globals;
   List.iter (check_func prog) prog.Ir.funcs

@@ -14,7 +14,19 @@ val builtin_sig : string -> (Ifp_types.Ctype.t list * Ifp_types.Ctype.t) option
     [__print_f64 : f64 -> void], [__abort : void -> void]. *)
 
 val check_program : Ir.program -> unit
-(** @raise Type_error with a location-ish message on the first error. *)
+(** Total on any program {!Parser.parse} returns: it returns or raises
+    [Type_error], nothing else. Every use of a struct by value (a stack
+    local, a global, a [malloc], a cast, a Gep pointee, a struct field)
+    must name a declared struct, and no struct may contain itself;
+    pointers to an undeclared struct are legal.
+    @raise Type_error with a location-ish message on the first error. *)
+
+val layout_error : Ifp_types.Ctype.tenv -> Ifp_types.Ctype.t -> string option
+(** Why a type has no size or layout, if it has none: it embeds by value
+    (directly, through arrays or through struct fields) a struct that the
+    environment does not declare (["unknown struct Q"]), or a struct that
+    contains itself. [None] for every type {!Ifp_types.Ctype.sizeof} can
+    size. *)
 
 val type_of_gep :
   Ifp_types.Ctype.tenv ->

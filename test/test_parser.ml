@@ -204,25 +204,232 @@ let test_comments_and_hex () =
   in
   Alcotest.(check int64) "15" 15L (ret src)
 
+(* the error a source is rejected with: "parse"/"lex", message, line *)
+let parse_error src =
+  match parse src with
+  | exception Ifp_compiler.Parser.Parse_error (m, l) -> ("parse", m, l)
+  | exception Ifp_compiler.Lexer.Lex_error (m, l) -> ("lex", m, l)
+  | _ -> Alcotest.fail ("parsed invalid program: " ^ src)
+
+let error = Alcotest.(triple string string int)
+
 let test_parse_errors () =
-  let bad srcs =
-    List.iter
-      (fun src ->
-        match parse src with
-        | exception Ifp_compiler.Parser.Parse_error _ -> ()
-        | exception Ifp_compiler.Lexer.Lex_error _ -> ()
-        | _ -> Alcotest.fail ("parsed invalid program: " ^ src))
-      srcs
-  in
-  bad
+  List.iter
+    (fun (src, want) -> Alcotest.check error src want (parse_error src))
     [
-      "i64 main( { return 0; }";
-      "i64 main() { return unknown_var; }";
-      "i64 main() { let x: nosuchtype = 1; return x; }";
-      "i64 main() { return 1 + ; }";
-      "struct S { i64 }; i64 main() { return 0; }";
-      "i64 main() { @ }";
+      ("i64 main( { return 0; }", ("parse", "expected a type, got '{'", 1));
+      ( "i64 main() { return unknown_var; }",
+        ("parse", "unknown identifier unknown_var", 1) );
+      ( "i64 main() { let x: nosuchtype = 1; return x; }",
+        ("parse", "expected a type, got nosuchtype", 1) );
+      ("i64 main() { return 1 + ; }", ("parse", "unexpected ';' in expression", 1));
+      ( "struct S { i64 }; i64 main() { return 0; }",
+        ("parse", "expected identifier, got '}'", 1) );
+      ("i64 main() { @ }", ("lex", "unexpected character @", 1));
+      (* the same errors further down a source carry their line *)
+      (* the line is the lexer's, one token past the offending one *)
+      ("i64 main() {\n  return 1 +\n ;\n}", ("parse", "unexpected ';' in expression", 4));
+      ("i64 main() {\n\n  @ }", ("lex", "unexpected character @", 3));
+      ( "i64 main() {\n  let x: f64 = 1.0;\n  return x % 2;\n}",
+        ("parse", "operator % not defined on f64", 3) );
+      ( "i64 main() {\n  let x: f64 = 1.0;\n  return x != 2.0;\n}",
+        ("parse", "comparison not defined on f64", 3) );
     ]
+
+(* ---- binary operator precedence ----------------------------------------- *)
+
+(* each case is [return <expr>;] evaluated by the VM; pairs of adjacent
+   levels are written both ways round, so binding either level too
+   tightly changes the value *)
+let precedence_cases =
+  [
+    (* || vs && *)
+    ("1 || 0 && 0", 1L); ("0 && 0 || 1", 1L);
+    (* && vs | *)
+    ("1 && 0 | 2", 1L); ("2 | 0 && 0", 0L);
+    (* | vs ^ *)
+    ("1 | 3 ^ 3", 1L); ("3 ^ 3 | 1", 1L);
+    (* ^ vs & *)
+    ("1 ^ 3 & 2", 3L); ("2 & 3 ^ 1", 3L);
+    (* & vs == *)
+    ("1 & 2 == 2", 1L); ("2 == 2 & 1", 1L);
+    (* == vs < *)
+    ("2 == 1 < 2", 0L); ("1 < 2 == 1", 1L);
+    (* < vs << *)
+    ("1 < 1 << 1", 1L); ("1 << 1 < 1", 0L);
+    (* << vs + *)
+    ("1 << 1 + 1", 4L); ("1 + 1 << 1", 4L);
+    (* + vs * *)
+    ("1 + 2 * 3", 7L); ("2 * 3 + 1", 7L);
+    (* unary binds tighter than every binary level *)
+    ("-2 * 3 + 7", 1L); ("!0 + ~0", 0L);
+    (* left associativity, one case per level *)
+    ("0 || 0 || 1", 1L); ("1 && 1 && 0", 0L); ("1 | 2 | 4", 7L);
+    ("7 ^ 1 ^ 2", 4L); ("7 & 6 & 3", 2L); ("5 == 5 == 1", 1L); ("3 < 2 < 1", 1L);
+    ("1 << 2 << 3", 32L); ("8 >> 1 >> 1", 2L); ("10 - 2 + 3", 11L);
+    ("10 - 3 - 2", 5L); ("12 / 2 * 3", 18L); ("100 / 10 / 5", 2L);
+    ("7 % 4 % 2", 1L);
+    (* > and >= are < and <= with the operands swapped *)
+    ("3 > 2", 1L); ("2 > 3", 0L); ("2 > 2", 0L); ("2 >= 2", 1L); ("1 >= 2", 0L);
+    ("3 >= 2", 1L); ("2.5 > 1", 1L); ("1 >= 1.0", 1L); ("1.0 > 2.0", 0L);
+    (* mixed i64/f64: an f64 operand makes the operation f64 *)
+    ("cast(i64, (1 + 2.5) * 2)", 7L); ("cast(i64, 7 / 2.0 * 2)", 7L);
+    ("cast(i64, 10 - 2.5 * 2)", 5L); ("cast(i64, 1.5 * 2 + 1)", 4L);
+    ("cast(i64, -0.5 * 4 + 3)", 1L); ("1 < 1.5", 1L); ("2.0 == 2", 1L);
+    ("1.5 <= 1", 0L); ("7 / 2 * 2", 6L);
+  ]
+
+let test_precedence () =
+  List.iter
+    (fun (e, want) ->
+      Alcotest.(check int64) e want (ret (Printf.sprintf "i64 main() { return %s; }" e)))
+    precedence_cases
+
+let test_swapped_operands () =
+  (* a > b is built as b < a, a >= b as b <= a *)
+  let returned src =
+    match (parse src).Ir.funcs with
+    | [ { Ir.body; _ } ] -> (
+      match List.rev body with
+      | Ir.Return (Some e) :: _ -> e
+      | _ -> Alcotest.fail "no return")
+    | _ -> Alcotest.fail "one function expected"
+  in
+  let cmp_of op ty =
+    returned
+      (Printf.sprintf "i64 main() { let a: %s = 1; let b: %s = 2; return a %s b; }" ty
+         ty op)
+  in
+  let a = Ir.Var "a" and b = Ir.Var "b" in
+  List.iter
+    (fun (op, ty, want) ->
+      Alcotest.(check bool) (Printf.sprintf "a %s b on %s" op ty) true
+        (cmp_of op ty = want))
+    [
+      (">", "i64", Ir.Binop (Ir.Lt, b, a));
+      (">=", "i64", Ir.Binop (Ir.Le, b, a));
+      ("<", "i64", Ir.Binop (Ir.Lt, a, b));
+      (">", "f64", Ir.Binop (Ir.FLt, b, a));
+      (">=", "f64", Ir.Binop (Ir.FLe, b, a));
+    ]
+
+(* ---- totality ----------------------------------------------------------- *)
+
+(* what parse + typecheck make of a source; anything but the documented
+   exceptions fails the test *)
+let front_end src =
+  match parse src with
+  | exception Ifp_compiler.Parser.Parse_error _ -> `Rejected
+  | exception Ifp_compiler.Lexer.Lex_error _ -> `Rejected
+  | exception e ->
+    Alcotest.failf "Parser.parse raised %s on:\n%s" (Printexc.to_string e) src
+  | prog -> (
+    match Typecheck.check_program prog with
+    | () -> `Accepted
+    | exception Typecheck.Type_error _ -> `Rejected
+    | exception e ->
+      Alcotest.failf "Typecheck.check_program raised %s on:\n%s"
+        (Printexc.to_string e) src)
+
+let test_front_end_regressions () =
+  List.iter
+    (fun (src, want) -> Alcotest.check error src want (parse_error src))
+    [
+      ("i64 main() {\n  return 99999999999999999999;\n}",
+        ("lex", "integer literal out of range", 2));
+      ("i64 main() { return 0x11112222333344445; }",
+        ("lex", "integer literal out of range", 1));
+      ("i64 main() { return sizeof(struct Q); }", ("parse", "unknown struct Q", 1));
+      ( "struct A { A a; };\ni64 main() { return sizeof(A); }",
+        ("parse", "struct A contains itself", 1) );
+      ( "struct S { i64 a; };\nstruct S { i64 b; };\ni64 main() { return 0; }",
+        ("parse", "duplicate struct S", 3) );
+      (* a struct without a layout is reported at its declaration *)
+      ( "struct S { i64 a; };\nstruct T { struct Q q; };\ni64 main() { return 0; }",
+        ("parse", "unknown struct Q", 2) );
+      ( "struct A { B b; };\nstruct B { A a[2]; };\ni64 main() { return 0; }",
+        ("parse", "struct A contains itself", 1) );
+      (* a fuzz mutant: the '*' of a list link flipped to a newline *)
+      ( "struct S0 { i64 v; S0\n next; };\ni64 main() { let p: S0* = null(S0); return p->v; }",
+        ("parse", "struct S0 contains itself", 1) );
+    ];
+  let type_error src =
+    match Typecheck.check_program (parse src) with
+    | exception Typecheck.Type_error m -> m
+    | () -> Alcotest.fail ("typechecked: " ^ src)
+  in
+  List.iter
+    (fun (src, want) -> Alcotest.(check string) src want (type_error src))
+    [
+      ("i64 main() { var s: struct Q; return 0; }", "main: unknown struct Q");
+      ("i64 main() { var s: struct Q[4]; return 0; }", "main: unknown struct Q");
+      ( "i64 main() { let p: struct Q* = malloc(struct Q); return 0; }",
+        "main: unknown struct Q" );
+      ( "i64 main() { let p: struct Q* = malloc(struct Q, 4); return 0; }",
+        "main: unknown struct Q" );
+      ("global struct Q g;\ni64 main() { return 0; }", "global g: unknown struct Q");
+      ("i64 main() { cast(struct Q, 0); return 0; }", "main: unknown struct Q");
+      ( "i64 main() { let p: struct Q* = null(struct Q); return cast(i64, &p[1]); }",
+        "main: unknown struct Q" );
+    ];
+  (* programs built without the parser get the same struct checks *)
+  let main = Ir.func "main" [] Ctype.I64 [ Ir.Return (Some (Ir.Int 0L)) ] in
+  List.iter
+    (fun (fields, want) ->
+      let tenv = Ctype.declare Ctype.empty_tenv { Ctype.sname = "A"; fields } in
+      match Typecheck.check_program (Ir.program ~tenv ~globals:[] [ main ]) with
+      | exception Typecheck.Type_error m -> Alcotest.(check string) want want m
+      | () -> Alcotest.fail ("typechecked: " ^ want))
+    [
+      ([ { Ctype.fname = "q"; fty = Ctype.Struct "Q" } ], "unknown struct Q");
+      ([ { Ctype.fname = "a"; fty = Ctype.Array (Ctype.Struct "A", 2) } ],
+        "struct A contains itself");
+    ];
+  (* pointers to an undeclared struct stay legal *)
+  Alcotest.(check bool) "struct Q* is legal" true
+    (front_end
+       {|i64 main() {
+           let p: struct Q* = null(struct Q);
+           if (p == null(struct Q)) { return 1; }
+           return 0;
+         }|}
+     = `Accepted)
+
+(* seeded mutants of generated sources: a flipped bit, a truncation or an
+   inserted run of digits *)
+let mutant g src =
+  let module P = Ifp_util.Prng in
+  let n = String.length src in
+  let at = P.int g (n + 1) in
+  match P.int g 3 with
+  | 0 ->
+    let b = Bytes.of_string src in
+    for _ = 0 to P.int g 3 do
+      let i = P.int g n in
+      Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl P.int g 8)))
+    done;
+    Bytes.to_string b
+  | 1 -> String.sub src 0 at
+  | _ ->
+    String.sub src 0 at
+    ^ String.init (P.int_in g 1 24) (fun _ -> Char.chr (P.int_in g 48 57))
+    ^ String.sub src at (n - at)
+
+let test_totality () =
+  let g = Ifp_util.Prng.create 0x707aL in
+  let rejected = ref 0 and total = ref 0 in
+  for i = 0 to 127 do
+    let src = Ifp_fuzz.Gen.source ~knobs:Ifp_fuzz.Gen.default ~seed:(Int64.of_int i) () in
+    for _ = 1 to 6 do
+      incr total;
+      if front_end (mutant g src) = `Rejected then incr rejected
+    done
+  done;
+  (* the mutants exercise the error paths, not only the happy one *)
+  Alcotest.(check bool)
+    (Printf.sprintf "%d of %d mutants rejected" !rejected !total)
+    true
+    (!rejected > !total / 4 && !rejected < !total)
 
 let contains hay needle =
   let nh = String.length hay and nn = String.length needle in
@@ -272,5 +479,9 @@ let tests =
     Alcotest.test_case "malloc_bytes + sizeof" `Quick test_malloc_bytes_and_sizeof;
     Alcotest.test_case "comments + hex" `Quick test_comments_and_hex;
     Alcotest.test_case "parse errors" `Quick test_parse_errors;
+    Alcotest.test_case "operator precedence" `Quick test_precedence;
+    Alcotest.test_case "> and >= swap operands" `Quick test_swapped_operands;
+    Alcotest.test_case "front-end regressions" `Quick test_front_end_regressions;
+    Alcotest.test_case "front end is total" `Quick test_totality;
     Alcotest.test_case "pretty-printer" `Quick test_pp_roundtrip;
   ]
