@@ -36,6 +36,8 @@ and expr =
   | Float of float
   | Var of var
   | Binop of binop * expr * expr
+      (** [a op b]: the operands evaluate right to left, [b] then [a],
+          except [LAnd]/[LOr], which short-circuit left to right *)
   | Unop of unop * expr
   | Load of Ifp_types.Ctype.t * expr  (** [*(ty* )e]; [ty] scalar *)
   | Addr_local of var
@@ -123,8 +125,6 @@ val find_global : program -> string -> global option
     identity) is ignored. *)
 
 val equal_expr : expr -> expr -> bool
-val equal_stmt : stmt -> stmt -> bool
-val equal_func : func -> func -> bool
 val equal_program : program -> program -> bool
 
 (** {1 Convenience constructors (frontend DSL)} *)
@@ -145,7 +145,6 @@ val ( ==: ) : expr -> expr -> expr
 val ( <>: ) : expr -> expr -> expr
 val ( &&: ) : expr -> expr -> expr
 val ( ||: ) : expr -> expr -> expr
-val not_ : expr -> expr
 val null : Ifp_types.Ctype.t -> expr
 (** Typed NULL pointer constant. *)
 

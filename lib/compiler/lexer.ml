@@ -13,7 +13,10 @@ type t = {
   mutable pos : int;
   mutable line_no : int;
   mutable tok : token;
+  mutable tok_line : int;
   mutable tok2 : token option;
+  mutable tok2_line : int;
+  mutable prev_line : int;  (* start line of the token [next] returned last *)
 }
 
 let is_digit c = c >= '0' && c <= '9'
@@ -144,9 +147,15 @@ let scan t =
       adv t 1 single.(Char.code c)
     | c -> raise (Lex_error (Printf.sprintf "unexpected character %c" c, t.line_no))
 
+(* No token spans a newline, so the line count right after [scan] is
+   the scanned token's start line. *)
 let create src =
-  let t = { src; pos = 0; line_no = 1; tok = EOF; tok2 = None } in
+  let t =
+    { src; pos = 0; line_no = 1; tok = EOF; tok_line = 1; tok2 = None;
+      tok2_line = 1; prev_line = 1 }
+  in
   t.tok <- scan t;
+  t.tok_line <- t.line_no;
   t
 
 let peek t = t.tok
@@ -157,18 +166,24 @@ let peek2 t =
   | None ->
     let tok = scan t in
     t.tok2 <- Some tok;
+    t.tok2_line <- t.line_no;
     tok
 
 let next t =
   let cur = t.tok in
+  t.prev_line <- t.tok_line;
   (match t.tok2 with
   | Some tok ->
     t.tok <- tok;
+    t.tok_line <- t.tok2_line;
     t.tok2 <- None
-  | None -> t.tok <- scan t);
+  | None ->
+    t.tok <- scan t;
+    t.tok_line <- t.line_no);
   cur
 
-let line t = t.line_no
+let line t = t.tok_line
+let prev_line t = t.prev_line
 
 let token_to_string = function
   | INT x -> Int64.to_string x

@@ -4,8 +4,9 @@
     operators look one character further ([<<] [>>] [<=] [>=] [==] [!=]
     [&&] [||] [->]) and take the longest match; keywords are told from
     identifiers by one [match] on the word. Operator tokens are shared
-    constants. [//] and [/* */] comments and whitespace are skipped;
-    {!line} counts newlines up to the end of the lookahead token.
+    constants. [//] and [/* */] comments and whitespace are skipped.
+    Each token carries the line it starts on: {!line} is the
+    lookahead's, {!prev_line} the last consumed token's.
 
     Every failure is a {!Lex_error}: an unexpected character, an
     unterminated block comment, a [0x] with no digits, or an integer
@@ -27,6 +28,12 @@ val peek : t -> token
 val peek2 : t -> token
 val next : t -> token
 val line : t -> int
+(** Start line of the lookahead token ({!peek}). *)
+
+val prev_line : t -> int
+(** Start line of the token {!next} returned last; 1 before the first
+    [next]. Parse errors are reported here: the parser raises them after
+    consuming the offending token. *)
 
 exception Lex_error of string * int  (** message, line *)
 

@@ -15,7 +15,7 @@ type st = {
 }
 
 let err st fmt =
-  Format.kasprintf (fun m -> raise (Parse_error (m, L.line st.lx))) fmt
+  Format.kasprintf (fun m -> raise (Parse_error (m, L.prev_line st.lx))) fmt
 
 let expect_punct st p =
   match L.next st.lx with
@@ -485,7 +485,7 @@ let prescan src =
     match L.next lx with
     | L.PUNCT "{" -> skip_braces (depth + 1)
     | L.PUNCT "}" -> if depth > 1 then skip_braces (depth - 1)
-    | L.EOF -> raise (Parse_error ("unexpected eof in body", L.line lx))
+    | L.EOF -> raise (Parse_error ("unexpected eof in body", L.prev_line lx))
     | _ -> skip_braces depth
   in
   let rec go () =
@@ -498,7 +498,7 @@ let prescan src =
       | tok ->
         raise
           (Parse_error ("expected struct name, got " ^ L.token_to_string tok,
-                        L.line lx)));
+                        L.prev_line lx)));
       (match L.next lx with
       | L.PUNCT "{" -> skip_braces 1
       | _ -> ());

@@ -42,10 +42,6 @@ let evaluate ~name prog =
   in
   of_results ~name ~lookup:(fun vname -> List.assoc vname results)
 
-let evaluate_variants ~name prog variants =
-  ignore name;
-  List.map (fun (vname, config) -> (vname, Vm.run ~config prog)) variants
-
 let aborted_result msg =
   {
     Vm.outcome = Vm.Aborted (Vm.Host_failure msg);

@@ -40,13 +40,6 @@ val evaluate : name:string -> Ifp_compiler.Ir.program -> row
 (** Runs the workload under all five configurations, serially in the
     calling domain. *)
 
-val evaluate_variants :
-  name:string ->
-  Ifp_compiler.Ir.program ->
-  (string * Ifp_vm.Vm.config) list ->
-  (string * Ifp_vm.Vm.result) list
-(** Custom configuration set. *)
-
 val runtime_overhead : baseline:Ifp_vm.Vm.result -> Ifp_vm.Vm.result -> float
 (** Cycle-count ratio ([1.12] = +12%). *)
 

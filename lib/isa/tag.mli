@@ -70,12 +70,6 @@ val poison : int64 -> poison
 val with_poison : int64 -> poison -> int64
 
 val scheme : int64 -> scheme
-val with_scheme : int64 -> scheme -> int64
-
-val meta12 : int64 -> int
-(** Raw 12-bit scheme-metadata/subobject field. *)
-
-val with_meta12 : int64 -> int -> int64
 
 val subobj_index : int64 -> int option
 (** Subobject index for schemes that have one; [None] for legacy and

@@ -35,6 +35,5 @@ val access_range : t -> int64 -> bytes:int -> access -> int
 
 val accesses : t -> int
 val misses : t -> int
-val reset_stats : t -> unit
 val flush : t -> unit
 (** Invalidate all lines and reset statistics. *)

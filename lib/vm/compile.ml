@@ -12,16 +12,16 @@
    observable behaviour:
 
    - {b mode splitting}: [ifp_mode && instrumented] is constant per
-     (config, function), so checked access, gep finish, address-of and
+     (config, function), so the access check, the gep, address-of and
      declaration paths compile to their taken branch only;
    - {b superinstruction fusion}: the paper-hot sequences
      gep→check→load, gep→check→store and promote→check→load compile to
      single fused closures that keep the address word unboxed instead
      of materialising the intermediate pointer value, replicating the
-     exact charge order of the unfused pair. Fused paths are only
-     emitted when no fault injector is armed ([st.inj = None]) — armed
-     runs keep the generic path whose [injected_bounds] hook they
-     need;
+     exact charge order of the unfused pair. Fusion does not depend on
+     the fault injector: an armed run compiles the same closures, and
+     the staged check ([check_instr] / [check_bare]) calls the
+     injector's access hook;
    - {b inline caches}: each [Ifp_register_local] site memoizes its
      last (tyid → layout pointer) resolution, falling back to the
      per-run {!Rt.layout_ptr_of} table walk on miss (transparent:
@@ -103,28 +103,41 @@ let run_body st (f : R.func) (body : ucode) callee_frame spills =
   if spills > 0 then charge_ifp st Insn.Ldbnd spills;
   if f.instrumented then ret else strip_bounds ret
 
-(* ---- fused access tails --------------------------------------------- *)
+(* ---- the staged check and access tails ----------------------------- *)
 
-(* These replicate, inline and specialized, the tails of [Rt.do_load] /
-   [Rt.do_store_int] / [Rt.do_store] on an address that never became a
-   boxed value: [w'] is the (possibly tagged) pointer word, [ob] its
-   bounds register. Only reachable from sites compiled when
-   [st.inj = None], so the [injected_bounds] hook is a static no-op
-   here.
+(* Every load and store site runs the same two stages on an address that
+   need not become a boxed value: the staged check turns the (possibly
+   tagged) pointer word [w'] and its bounds register [ob] into the
+   checked 44-bit address, then a staged tail ([stage_load] /
+   [stage_store]) charges and performs the access. This is the one
+   access path: ordinary, profiled and fault-armed runs all execute it.
 
-   The bit-level pieces — the 44-bit address mask of [Tag.addr], the
+   Each site captures the run's fault injector [inj] when it compiles.
+   With one armed, the check first hands the access to
+   [Fault.on_access], which may corrupt the bounds it is given. That is
+   [Vm_ref]'s order: after the address and the stored value are
+   evaluated, before the poison and bounds checks and the charges.
+   Uninstrumented frames make no check, but an armed injector still sees
+   their accesses.
+
+   The bit-level pieces (the 44-bit address mask of [Tag.addr], the
    poison-bit test of [Insn.load_store_poison_check], the range test of
-   [Bounds.contains] — are open-coded copies: they run on every access
+   [Bounds.contains]) are open-coded copies: they run on every access
    and the cross-module calls are measurable without flambda. The
    differential suite pins them against [Vm_ref], which still goes
    through [lib/isa]. *)
 
 let addr_mask = Tag.addr_mask (* 44-bit virtual address *)
 
-(* Returns the 44-bit address so the access tail does not re-mask: the
-   check is the only consumer of the tagged word, every caller feeds the
-   result straight into a [stage_load]/[stage_store] closure. *)
-let[@inline] check_instr st w' ob ~is_store ~size : int64 =
+(* The check of an instrumented frame. Returns the 44-bit address, so
+   the access tail does not re-mask. *)
+let[@inline] check_instr st inj w' ob ~is_store ~size : int64 =
+  let ob =
+    match inj with
+    | None -> ob
+    | Some inj ->
+      Fault.on_access inj ~addr:(Int64.logand w' addr_mask) ~size ~bounds:ob
+  in
   (* poison bits are 62-63; nonzero = Oob, Invalid or Freed. The library
      check resolves the temporal-vs-spatial trap cause on the (cold)
      poisoned path. *)
@@ -142,6 +155,27 @@ let[@inline] check_instr st w' ob ~is_store ~size : int64 =
         && Int64.compare (Int64.add a (Int64.of_int size)) hi <= 0)
     then Trap.raise_trap (Trap.Bounds_violation { ptr = w'; lo; hi; size }));
   a
+
+(* The check of an uninstrumented frame: the tag strip alone. *)
+let[@inline] check_bare inj w ob ~size : int64 =
+  let a = Int64.logand w addr_mask in
+  (match inj with
+  | None -> ()
+  | Some inj -> ignore (Fault.on_access inj ~addr:a ~size ~bounds:ob));
+  a
+
+(* the checks on a boxed address value *)
+let[@inline] check_value_instr st inj v ~is_store ~size : int64 =
+  match v with
+  | VP (w, b) -> check_instr st inj w b ~is_store ~size
+  | VI w -> check_instr st inj w Bounds.No_bounds ~is_store ~size
+  | VF _ -> abort "float used as pointer"
+
+let[@inline] check_value_bare inj v ~size : int64 =
+  match v with
+  | VP (w, b) -> check_bare inj w b ~size
+  | VI w -> check_bare inj w Bounds.No_bounds ~size
+  | VF _ -> abort "float used as pointer"
 
 (* Staged sim-cache probe: [Cache.access_line] over the exposed
    representation, with the (immutable) geometry and arrays captured at
@@ -187,8 +221,8 @@ let pcache_mask = Memory.pcache_slots - 1
    arithmetic of [charge_load] ([loads]/[base]/[mem_cycles]) is
    open-coded — the cycle adds are coalesced into one store, which is
    unobservable because nothing between them can trap. Takes the 48-bit
-   address, already masked by [check_instr] (or by the call site on
-   uninstrumented paths), so the tag strip happens once per access; the
+   address, already masked by the staged check (or by the call site for
+   a global), so the tag strip happens once per access; the
    masked address fits 48 bits, so the whole line/page computation runs
    on immediate ints. The page-cache probe of [Memory.get_page] and the
    line probe of [Cache.access_range] are inlined for the common case
@@ -551,9 +585,12 @@ let load_tail_i (ld : int64 -> int64) bytes : int64 -> int64 =
     let sh = 64 - (bytes * 8) in
     fun w' -> Int64.shift_right (Int64.shift_left (ld w') sh) sh
 
-(* staged twin of [Rt.store_raw]: the class dispatch and the
-   [ifp_mode && instrumented] test are resolved now; only the
-   per-value [VP]-with-bounds demote test remains at run time *)
+(* The raw bits a value stores as, under a scalar class: [Vm_ref]'s
+   store, with the class dispatch and the [ifp_mode && instrumented]
+   test resolved now. A pointer demotes: the tagged word goes to memory,
+   the bounds register is dropped, and in an instrumented frame
+   ifpextract refreshes the poison bits. Only the per-value
+   [VP]-with-bounds test remains at run time. *)
 let stage_store_raw st ~instr cls : value -> int64 =
   match cls with
   | R.Cls_f64 -> fun v -> Int64.bits_of_float (as_float v)
@@ -1028,380 +1065,321 @@ and compile_cond c (e : R.expr) : frame -> bool =
 
 (* ---- gep ------------------------------------------------------------ *)
 
-(* Fused gep address computation: compiles the hot single-step shapes to
-   a closure returning the result pointer word (and writing its bounds
-   register to [env.gb]) without boxing a value — replicating
-   the generic gep path + [Rt.gep_finish] charge-for-charge. [None] when the
-   shape is not fusable or a fault injector is armed. *)
-and compile_gep_addr c gbase steps idx_delta : (frame -> int64) option =
+(* The gep compiler: a closure returning the result pointer word and
+   writing its bounds register to [env.gb], so no pointer value is
+   boxed. Charges follow [Vm_ref]'s gep. In an instrumented frame the
+   index muls stay ordinary ALU work, and the final add becomes ifpadd,
+   plus ifpidx for a subobject step and ifpbnd when the bounds narrow.
+   Elsewhere each dynamic index costs a mul and an add. The single-step
+   shapes are open-coded; longer walks fold their steps first. *)
+and compile_gep_addr c gbase steps idx_delta : frame -> int64 =
   let st = c.env.st in
   let env = c.env in
-  if st.inj <> None then None
-  else
-    let cb = compile_expr c gbase in
-    (* charge_ifp with the kind static: the counter slot and cycle cost
-       are compile-time constants, so each charge is two array/field adds
-       instead of a kind_index dispatch per executed gep. *)
-    let ix_add = Counters.kind_index Insn.Ifpadd
-    and cyc_add = Cost.ifp_cycles Insn.Ifpadd
-    and ix_idx = Counters.kind_index Insn.Ifpidx
-    and cyc_idx = Cost.ifp_cycles Insn.Ifpidx
-    and ix_bnd = Counters.kind_index Insn.Ifpbnd
-    and cyc_bnd = Cost.ifp_cycles Insn.Ifpbnd in
-    let cc = st.c in
-    let finish_instr w b ~delta ~nb_lo ~nb_hi ~have_nb =
-      let out_bounds =
-        match b with
-        | Bounds.No_bounds -> Bounds.no_bounds
-        | _ -> if have_nb then Bounds.make ~lo:nb_lo ~hi:nb_hi else b
-      in
-      cc.ifp.(ix_add) <- cc.ifp.(ix_add) + 1;
-      cc.cycles <- cc.cycles + cyc_add;
-      let w' = s_ifpadd w ~delta ~bounds:out_bounds in
-      let w' =
-        if idx_delta > 0 then begin
-          cc.ifp.(ix_idx) <- cc.ifp.(ix_idx) + 1;
-          cc.cycles <- cc.cycles + cyc_idx;
-          s_ifpidx w' idx_delta
-        end
-        else w'
-      in
-      if not (Bounds.equal out_bounds b) then begin
-        cc.ifp.(ix_bnd) <- cc.ifp.(ix_bnd) + 1;
-        cc.cycles <- cc.cycles + cyc_bnd
-      end;
-      env.gb <- out_bounds;
-      w'
-    in
-    match steps with
-    | [] ->
-      if c.instr then
-        Some
-          (fun fr ->
-            match cb fr with
-            | VP (w, b) ->
-              finish_instr w b ~delta:0L ~nb_lo:0L ~nb_hi:0L ~have_nb:false
-            | VI w ->
-              finish_instr w Bounds.no_bounds ~delta:0L ~nb_lo:0L ~nb_hi:0L
-                ~have_nb:false
-            | VF _ -> abort "float used as pointer")
-      else
-        Some
-          (fun fr ->
-            let w =
-              match cb fr with
-              | VP (w, _) | VI w -> w
-              | VF _ -> abort "float used as pointer"
-            in
-            env.gb <- Bounds.no_bounds;
-            w)
-    | [ R.Rs_field { off; fsize } ] ->
-      let offL = Int64.of_int off and fsizeL = Int64.of_int fsize in
-      if c.instr then
-        Some
-          (fun fr ->
-            let v = cb fr in
-            let w =
-              match v with
-              | VP (w, _) | VI w -> w
-              | VF _ -> abort "float used as pointer"
-            in
-            let b = match v with VP (_, b) -> b | _ -> Bounds.no_bounds in
-            let lo = Int64.add (Tag.addr w) offL in
-            finish_instr w b ~delta:offL ~nb_lo:lo ~nb_hi:(Int64.add lo fsizeL)
-              ~have_nb:true)
-      else
-        Some
-          (fun fr ->
-            let w =
-              match cb fr with
-              | VP (w, _) | VI w -> w
-              | VF _ -> abort "float used as pointer"
-            in
-            env.gb <- Bounds.no_bounds;
-            Int64.add w offL)
-    | [ R.Rs_index { esize; idx } ] ->
-      let ci = compile_expr_i c idx in
-      let esizeL = Int64.of_int esize in
-      if c.instr then
-        Some
-          (fun fr ->
-            let v = cb fr in
-            let w =
-              match v with
-              | VP (w, _) | VI w -> w
-              | VF _ -> abort "float used as pointer"
-            in
-            let b = match v with VP (_, b) -> b | _ -> Bounds.no_bounds in
-            let k = ci fr in
-            (* dyn = 1: the index mul stays ordinary ALU work *)
-            st.c.base_instrs <- st.c.base_instrs + 1;
-            cycles st Cost.mul;
-            finish_instr w b
-              ~delta:(Int64.mul k esizeL)
-              ~nb_lo:0L ~nb_hi:0L ~have_nb:false)
-      else
-        Some
-          (fun fr ->
-            let w =
-              match cb fr with
-              | VP (w, _) | VI w -> w
-              | VF _ -> abort "float used as pointer"
-            in
-            let k = ci fr in
-            st.c.base_instrs <- st.c.base_instrs + 2;
-            cycles st (Cost.mul + Cost.alu);
-            Int64.add w (Int64.mul k esizeL))
-    | _ -> None
-
-(* generic gep producing a boxed pointer value (the non-fused path and
-   any multi-step walk) *)
-and compile_gep c gbase steps idx_delta : vcode =
-  let st = c.env.st in
   let cb = compile_expr c gbase in
-  probe c Profile.op_gep
-    (match steps with
-    | [] ->
-      fun fr ->
-        let v = cb fr in
-        let w =
-          match v with
-          | VP (w, _) | VI w -> w
-          | VF _ -> abort "float used as pointer"
-        in
-        let b = match v with VP (_, b) -> b | _ -> Bounds.no_bounds in
-        gep_finish st fr w b idx_delta ~delta:0L ~dyn:0 ~nb_lo:0L ~nb_hi:0L
+  (* charge_ifp with the kind static: the counter slot and cycle cost
+     are compile-time constants, so each charge is two array/field adds
+     instead of a kind_index dispatch per executed gep. *)
+  let ix_add = Counters.kind_index Insn.Ifpadd
+  and cyc_add = Cost.ifp_cycles Insn.Ifpadd
+  and ix_idx = Counters.kind_index Insn.Ifpidx
+  and cyc_idx = Cost.ifp_cycles Insn.Ifpidx
+  and ix_bnd = Counters.kind_index Insn.Ifpbnd
+  and cyc_bnd = Cost.ifp_cycles Insn.Ifpbnd in
+  let cc = st.c in
+  let finish_instr w b ~delta ~nb_lo ~nb_hi ~have_nb =
+    let out_bounds =
+      match b with
+      | Bounds.No_bounds -> Bounds.no_bounds
+      | _ -> if have_nb then Bounds.make ~lo:nb_lo ~hi:nb_hi else b
+    in
+    cc.ifp.(ix_add) <- cc.ifp.(ix_add) + 1;
+    cc.cycles <- cc.cycles + cyc_add;
+    let w' = s_ifpadd w ~delta ~bounds:out_bounds in
+    let w' =
+      if idx_delta > 0 then begin
+        cc.ifp.(ix_idx) <- cc.ifp.(ix_idx) + 1;
+        cc.cycles <- cc.cycles + cyc_idx;
+        s_ifpidx w' idx_delta
+      end
+      else w'
+    in
+    if not (Bounds.equal out_bounds b) then begin
+      cc.ifp.(ix_bnd) <- cc.ifp.(ix_bnd) + 1;
+      cc.cycles <- cc.cycles + cyc_bnd
+    end;
+    env.gb <- out_bounds;
+    w'
+  in
+  match steps with
+  | [] ->
+    if c.instr then fun fr ->
+      match cb fr with
+      | VP (w, b) ->
+        finish_instr w b ~delta:0L ~nb_lo:0L ~nb_hi:0L ~have_nb:false
+      | VI w ->
+        finish_instr w Bounds.no_bounds ~delta:0L ~nb_lo:0L ~nb_hi:0L
           ~have_nb:false
-    | [ R.Rs_field { off; fsize } ] ->
-      let offL = Int64.of_int off and fsizeL = Int64.of_int fsize in
-      fun fr ->
-        let v = cb fr in
-        let w =
-          match v with
-          | VP (w, _) | VI w -> w
-          | VF _ -> abort "float used as pointer"
-        in
-        let b = match v with VP (_, b) -> b | _ -> Bounds.no_bounds in
-        let lo = Int64.add (Tag.addr w) offL in
-        gep_finish st fr w b idx_delta ~delta:offL ~dyn:0 ~nb_lo:lo
-          ~nb_hi:(Int64.add lo fsizeL) ~have_nb:true
-    | [ R.Rs_index { esize; idx } ] ->
-      let ci = compile_expr_i c idx in
-      let esizeL = Int64.of_int esize in
-      fun fr ->
-        let v = cb fr in
-        let w =
-          match v with
-          | VP (w, _) | VI w -> w
-          | VF _ -> abort "float used as pointer"
-        in
-        let b = match v with VP (_, b) -> b | _ -> Bounds.no_bounds in
-        let k = ci fr in
-        gep_finish st fr w b idx_delta
-          ~delta:(Int64.mul k esizeL)
-          ~dyn:1 ~nb_lo:0L ~nb_hi:0L ~have_nb:false
-    | steps ->
-      let csteps =
-        List.map
-          (function
-            | R.Rs_field { off; fsize } -> `F (Int64.of_int off, Int64.of_int fsize)
-            | R.Rs_index { esize; idx } ->
-              `I (Int64.of_int esize, compile_expr_i c idx)
-            | R.Rs_bad msg -> `B msg)
-          steps
+      | VF _ -> abort "float used as pointer"
+    else fun fr ->
+      let w =
+        match cb fr with
+        | VP (w, _) | VI w -> w
+        | VF _ -> abort "float used as pointer"
       in
-      fun fr ->
-        let v = cb fr in
-        let w =
-          match v with
-          | VP (w, _) | VI w -> w
-          | VF _ -> abort "float used as pointer"
-        in
-        let b = match v with VP (_, b) -> b | _ -> Bounds.no_bounds in
-        let addr0 = Tag.addr w in
-        let rec walk cs addr nb_lo nb_hi have_nb dyn =
-          match cs with
-          | [] -> (addr, nb_lo, nb_hi, have_nb, dyn)
-          | `F (offL, fsizeL) :: rest ->
-            let a' = Int64.add addr offL in
-            walk rest a' a' (Int64.add a' fsizeL) true dyn
-          | `I (esizeL, ci) :: rest ->
-            let k = ci fr in
-            walk rest (Int64.add addr (Int64.mul k esizeL)) nb_lo nb_hi have_nb
-              (dyn + 1)
-          | `B msg :: _ -> abort msg
-        in
-        let addr, nb_lo, nb_hi, have_nb, dyn = walk csteps addr0 0L 0L false 0 in
-        gep_finish st fr w b idx_delta
-          ~delta:(Int64.sub addr addr0)
-          ~dyn ~nb_lo ~nb_hi ~have_nb)
+      env.gb <- Bounds.no_bounds;
+      w
+  | [ R.Rs_field { off; fsize } ] ->
+    let offL = Int64.of_int off and fsizeL = Int64.of_int fsize in
+    if c.instr then fun fr ->
+      let v = cb fr in
+      let w =
+        match v with
+        | VP (w, _) | VI w -> w
+        | VF _ -> abort "float used as pointer"
+      in
+      let b = match v with VP (_, b) -> b | _ -> Bounds.no_bounds in
+      let lo = Int64.add (Tag.addr w) offL in
+      finish_instr w b ~delta:offL ~nb_lo:lo ~nb_hi:(Int64.add lo fsizeL)
+        ~have_nb:true
+    else fun fr ->
+      let w =
+        match cb fr with
+        | VP (w, _) | VI w -> w
+        | VF _ -> abort "float used as pointer"
+      in
+      env.gb <- Bounds.no_bounds;
+      Int64.add w offL
+  | [ R.Rs_index { esize; idx } ] ->
+    let ci = compile_expr_i c idx in
+    let esizeL = Int64.of_int esize in
+    if c.instr then fun fr ->
+      let v = cb fr in
+      let w =
+        match v with
+        | VP (w, _) | VI w -> w
+        | VF _ -> abort "float used as pointer"
+      in
+      let b = match v with VP (_, b) -> b | _ -> Bounds.no_bounds in
+      let k = ci fr in
+      cc.base_instrs <- cc.base_instrs + 1;
+      cc.cycles <- cc.cycles + Cost.mul;
+      finish_instr w b ~delta:(Int64.mul k esizeL) ~nb_lo:0L ~nb_hi:0L
+        ~have_nb:false
+    else fun fr ->
+      let w =
+        match cb fr with
+        | VP (w, _) | VI w -> w
+        | VF _ -> abort "float used as pointer"
+      in
+      let k = ci fr in
+      cc.base_instrs <- cc.base_instrs + 2;
+      cc.cycles <- cc.cycles + Cost.mul + Cost.alu;
+      env.gb <- Bounds.no_bounds;
+      Int64.add w (Int64.mul k esizeL)
+  | steps ->
+    let csteps =
+      List.map
+        (function
+          | R.Rs_field { off; fsize } -> `F (Int64.of_int off, Int64.of_int fsize)
+          | R.Rs_index { esize; idx } -> `I (Int64.of_int esize, compile_expr_i c idx)
+          | R.Rs_bad msg -> `B msg)
+        steps
+    in
+    (* the address after the steps, the last field's bounds (if any) and
+       the dynamic index count *)
+    let rec walk fr cs addr nb_lo nb_hi have_nb dyn =
+      match cs with
+      | [] -> (addr, nb_lo, nb_hi, have_nb, dyn)
+      | `F (offL, fsizeL) :: rest ->
+        let a' = Int64.add addr offL in
+        walk fr rest a' a' (Int64.add a' fsizeL) true dyn
+      | `I (esizeL, ci) :: rest ->
+        let k = ci fr in
+        walk fr rest (Int64.add addr (Int64.mul k esizeL)) nb_lo nb_hi have_nb
+          (dyn + 1)
+      | `B msg :: _ -> abort msg
+    in
+    if c.instr then fun fr ->
+      let v = cb fr in
+      let w =
+        match v with
+        | VP (w, _) | VI w -> w
+        | VF _ -> abort "float used as pointer"
+      in
+      let b = match v with VP (_, b) -> b | _ -> Bounds.no_bounds in
+      let addr0 = Tag.addr w in
+      let addr, nb_lo, nb_hi, have_nb, dyn = walk fr csteps addr0 0L 0L false 0 in
+      cc.base_instrs <- cc.base_instrs + dyn;
+      cc.cycles <- cc.cycles + (dyn * Cost.mul);
+      finish_instr w b ~delta:(Int64.sub addr addr0) ~nb_lo ~nb_hi ~have_nb
+    else fun fr ->
+      let w =
+        match cb fr with
+        | VP (w, _) | VI w -> w
+        | VF _ -> abort "float used as pointer"
+      in
+      let addr0 = Tag.addr w in
+      let addr, _, _, _, dyn = walk fr csteps addr0 0L 0L false 0 in
+      cc.base_instrs <- cc.base_instrs + (dyn * 2);
+      cc.cycles <- cc.cycles + (dyn * (Cost.mul + Cost.alu));
+      env.gb <- Bounds.no_bounds;
+      Int64.add w (Int64.sub addr addr0)
 
-(* ---- loads (with fusion) -------------------------------------------- *)
+(* a gep in value position: the address closure, boxed *)
+and compile_gep c gbase steps idx_delta : vcode =
+  let env = c.env in
+  let ga = compile_gep_addr c gbase steps idx_delta in
+  probe c Profile.op_gep (fun fr ->
+      let w = ga fr in
+      VP (w, env.gb))
+
+(* ---- loads and stores (with fusion) --------------------------------- *)
+
+(* Every access site ends in the staged check ([check_value_instr], or
+   [check_value_bare] outside instrumented frames) with the run's fault
+   injector captured, then a staged tail. A gep address fuses into the
+   site (gep→check→load/store) and so does a promote under a load
+   (promote→check→load); any other address is a boxed value. The order
+   is [Vm_ref]'s: address, then value, then check, then the access. *)
 
 and compile_load c cls bytes addr : vcode =
   let st = c.env.st in
   let env = c.env in
+  let inj = st.inj in
+  let tail = load_tail (stage_load st bytes) cls bytes in
   match addr with
-  | R.Gep { base = gbase; steps; idx_delta; site = _ } -> (
-    match compile_gep_addr c gbase steps idx_delta with
-    | Some ga ->
-      (* gep→check→load superinstruction *)
-      let tail = load_tail (stage_load st bytes) cls bytes in
-      if c.instr then
-        probe c Profile.op_fused_gep_load (fun fr ->
-            let w' = ga fr in
-            let ob = env.gb in
-            tail (check_instr st w' ob ~is_store:false ~size:bytes))
-      else
-        probe c Profile.op_fused_gep_load (fun fr ->
-            tail (Int64.logand (ga fr) addr_mask))
-    | None -> compile_load_generic c cls bytes addr)
-  | R.Ifp_promote { e; site = _ } when st.inj = None ->
-    (* promote→check→load superinstruction *)
+  | R.Gep { base = gbase; steps; idx_delta; site = _ } ->
+    let ga = compile_gep_addr c gbase steps idx_delta in
+    if c.instr then
+      probe c Profile.op_fused_gep_load (fun fr ->
+          let w' = ga fr in
+          tail (check_instr st inj w' env.gb ~is_store:false ~size:bytes))
+    else
+      probe c Profile.op_fused_gep_load (fun fr ->
+          tail (check_bare inj (ga fr) Bounds.no_bounds ~size:bytes))
+  | R.Ifp_promote { e; site = _ } ->
     let ce = compile_expr c e in
-    let tail = load_tail (stage_load st bytes) cls bytes in
     if c.instr then
       probe c Profile.op_fused_promote_load (fun fr ->
-          let w, b =
-            match eval_promote st (ce fr) with
-            | VP (w, b) -> (w, b)
-            | VI w -> (w, Bounds.no_bounds)
-            | VF _ -> abort "float used as pointer"
-          in
-          tail (check_instr st w b ~is_store:false ~size:bytes))
+          let v = eval_promote st (ce fr) in
+          tail (check_value_instr st inj v ~is_store:false ~size:bytes))
     else
       probe c Profile.op_fused_promote_load (fun fr ->
-          let w =
-            match eval_promote st (ce fr) with
-            | VP (w, _) | VI w -> w
-            | VF _ -> abort "float used as pointer"
-          in
-          tail (Int64.logand w addr_mask))
-  | addr -> compile_load_generic c cls bytes addr
-
-and compile_load_generic c cls bytes addr : vcode =
-  let st = c.env.st in
-  let ca = compile_expr c addr in
-  if st.inj <> None then
-    probe c Profile.op_load (fun fr -> do_load st fr cls bytes (ca fr))
-  else
-    (* staged twin of [Rt.do_load]: the [as_ptr] split, the checked
-       access (static per mode), then the staged load tail *)
-    let tail = load_tail (stage_load st bytes) cls bytes in
+          tail (check_value_bare inj (eval_promote st (ce fr)) ~size:bytes))
+  | addr ->
+    let ca = compile_expr c addr in
     if c.instr then
       probe c Profile.op_load (fun fr ->
-          match ca fr with
-          | VP (w, b) -> tail (check_instr st w b ~is_store:false ~size:bytes)
-          | VI w -> tail (check_instr st w Bounds.No_bounds ~is_store:false ~size:bytes)
-          | VF _ -> abort "float used as pointer")
+          tail (check_value_instr st inj (ca fr) ~is_store:false ~size:bytes))
     else
       probe c Profile.op_load (fun fr ->
-          match ca fr with
-          | VP (w, _) | VI w -> tail (Int64.logand w addr_mask)
-          | VF _ -> abort "float used as pointer")
+          tail (check_value_bare inj (ca fr) ~size:bytes))
 
 (* the integer-load context: same fusion, unboxed result *)
 and compile_load_int c bytes addr : icode =
   let st = c.env.st in
   let env = c.env in
+  let inj = st.inj in
+  let tail = load_tail_i (stage_load st bytes) bytes in
   match addr with
-  | R.Gep { base = gbase; steps; idx_delta; site = _ } -> (
-    match compile_gep_addr c gbase steps idx_delta with
-    | Some ga ->
-      let tail = load_tail_i (stage_load st bytes) bytes in
-      if c.instr then
-        probe c Profile.op_fused_gep_load_i (fun fr ->
-            let w' = ga fr in
-            let ob = env.gb in
-            tail (check_instr st w' ob ~is_store:false ~size:bytes))
-      else
-        probe c Profile.op_fused_gep_load_i (fun fr ->
-            tail (Int64.logand (ga fr) addr_mask))
-    | None -> compile_load_int_generic c bytes addr)
-  | addr -> compile_load_int_generic c bytes addr
-
-and compile_load_int_generic c bytes addr : icode =
-  let st = c.env.st in
-  let ca = compile_expr c addr in
-  if st.inj <> None then
-    probe c Profile.op_load_i (fun fr -> do_load_int st fr bytes (ca fr))
-  else
-    let tail = load_tail_i (stage_load st bytes) bytes in
+  | R.Gep { base = gbase; steps; idx_delta; site = _ } ->
+    let ga = compile_gep_addr c gbase steps idx_delta in
+    if c.instr then
+      probe c Profile.op_fused_gep_load_i (fun fr ->
+          let w' = ga fr in
+          tail (check_instr st inj w' env.gb ~is_store:false ~size:bytes))
+    else
+      probe c Profile.op_fused_gep_load_i (fun fr ->
+          tail (check_bare inj (ga fr) Bounds.no_bounds ~size:bytes))
+  | addr ->
+    let ca = compile_expr c addr in
     if c.instr then
       probe c Profile.op_load_i (fun fr ->
-          match ca fr with
-          | VP (w, b) -> tail (check_instr st w b ~is_store:false ~size:bytes)
-          | VI w -> tail (check_instr st w Bounds.No_bounds ~is_store:false ~size:bytes)
-          | VF _ -> abort "float used as pointer")
+          tail (check_value_instr st inj (ca fr) ~is_store:false ~size:bytes))
     else
       probe c Profile.op_load_i (fun fr ->
-          match ca fr with
-          | VP (w, _) | VI w -> tail (Int64.logand w addr_mask)
-          | VF _ -> abort "float used as pointer")
+          tail (check_value_bare inj (ca fr) ~size:bytes))
 
-(* staged twins of [Rt.do_store_int] / [Rt.do_store] for non-fused
-   store addresses; generic [do_store*] kept when an injector is armed *)
-and compile_store_int_generic c bytes addr v next : ucode =
+(* integer store: the raw word is computed unboxed *)
+and compile_store_int c bytes addr v next : ucode =
   let st = c.env.st in
-  let ca = compile_expr c addr and cv = compile_expr_i c v in
-  if st.inj <> None then
-    probe c Profile.op_store (fun fr ->
-        let a = ca fr in
-        let raw = cv fr in
-        do_store_int st fr bytes a raw;
-        next fr)
-  else
-    let stw = stage_store st bytes in
+  let env = c.env in
+  let inj = st.inj in
+  let cv = compile_expr_i c v in
+  let stw = stage_store st bytes in
+  match addr with
+  | R.Gep { base = gbase; steps; idx_delta; site = _ } ->
+    let ga = compile_gep_addr c gbase steps idx_delta in
+    if c.instr then
+      probe c Profile.op_fused_gep_store_i (fun fr ->
+          let w' = ga fr in
+          let ob = env.gb in
+          let raw = cv fr in
+          stw (check_instr st inj w' ob ~is_store:true ~size:bytes) raw;
+          next fr)
+    else
+      probe c Profile.op_fused_gep_store_i (fun fr ->
+          let w' = ga fr in
+          let raw = cv fr in
+          stw (check_bare inj w' Bounds.no_bounds ~size:bytes) raw;
+          next fr)
+  | addr ->
+    let ca = compile_expr c addr in
     if c.instr then
       probe c Profile.op_store (fun fr ->
           let a = ca fr in
           let raw = cv fr in
-          (match a with
-          | VP (w, b) -> stw (check_instr st w b ~is_store:true ~size:bytes) raw
-          | VI w -> stw (check_instr st w Bounds.No_bounds ~is_store:true ~size:bytes) raw
-          | VF _ -> abort "float used as pointer");
+          stw (check_value_instr st inj a ~is_store:true ~size:bytes) raw;
           next fr)
     else
       probe c Profile.op_store (fun fr ->
           let a = ca fr in
           let raw = cv fr in
-          (match a with
-          | VP (w, _) | VI w -> stw (Int64.logand w addr_mask) raw
-          | VF _ -> abort "float used as pointer");
+          stw (check_value_bare inj a ~size:bytes) raw;
           next fr)
 
-and compile_store_generic c cls bytes addr v next : ucode =
+(* store of a pointer or f64 value: the demote ([stage_store_raw]) runs
+   after the check *)
+and compile_store c cls bytes addr v next : ucode =
   let st = c.env.st in
-  let ca = compile_expr c addr and cv = compile_expr c v in
-  if st.inj <> None then
-    probe c Profile.op_store (fun fr ->
-        let a = ca fr in
-        let value = cv fr in
-        do_store st fr cls bytes a value;
-        next fr)
-  else
-    let stw = stage_store st bytes in
-    let sraw = stage_store_raw st ~instr:c.instr cls in
+  let env = c.env in
+  let inj = st.inj in
+  let cv = compile_expr c v in
+  let stw = stage_store st bytes in
+  let sraw = stage_store_raw st ~instr:c.instr cls in
+  match addr with
+  | R.Gep { base = gbase; steps; idx_delta; site = _ } ->
+    let ga = compile_gep_addr c gbase steps idx_delta in
+    if c.instr then
+      probe c Profile.op_fused_gep_store (fun fr ->
+          let w' = ga fr in
+          let ob = env.gb in
+          let value = cv fr in
+          let ma = check_instr st inj w' ob ~is_store:true ~size:bytes in
+          stw ma (sraw value);
+          next fr)
+    else
+      probe c Profile.op_fused_gep_store (fun fr ->
+          let w' = ga fr in
+          let value = cv fr in
+          let ma = check_bare inj w' Bounds.no_bounds ~size:bytes in
+          stw ma (sraw value);
+          next fr)
+  | addr ->
+    let ca = compile_expr c addr in
     if c.instr then
       probe c Profile.op_store (fun fr ->
           let a = ca fr in
           let value = cv fr in
-          (match a with
-          | VP (w, b) ->
-            let ma = check_instr st w b ~is_store:true ~size:bytes in
-            stw ma (sraw value)
-          | VI w ->
-            let ma = check_instr st w Bounds.No_bounds ~is_store:true ~size:bytes in
-            stw ma (sraw value)
-          | VF _ -> abort "float used as pointer");
+          let ma = check_value_instr st inj a ~is_store:true ~size:bytes in
+          stw ma (sraw value);
           next fr)
     else
       probe c Profile.op_store (fun fr ->
           let a = ca fr in
           let value = cv fr in
-          (match a with
-          | VP (w, _) | VI w -> stw (Int64.logand w addr_mask) (sraw value)
-          | VF _ -> abort "float used as pointer");
+          let ma = check_value_bare inj a ~size:bytes in
+          stw ma (sraw value);
           next fr)
 
 (* ---- calls ---------------------------------------------------------- *)
@@ -1585,55 +1563,9 @@ and compile_stmt c (s : R.stmt) (next : ucode) : ucode =
            fr.local_tyid.(slot) <- tyid
          end);
         next fr)
-  | R.Store { cls = R.Cls_int; bytes; addr; v } -> (
-    match addr with
-    | R.Gep { base = gbase; steps; idx_delta; site = _ } -> (
-      match compile_gep_addr c gbase steps idx_delta with
-      | Some ga ->
-        (* gep→check→store superinstruction. Reference order: the gep
-           (address) evaluates and charges first, then the value, then
-           check + store. *)
-        let cv = compile_expr_i c v in
-        let stw = stage_store st bytes in
-        if c.instr then
-          probe c Profile.op_fused_gep_store_i (fun fr ->
-              let w' = ga fr in
-              let ob = env.gb in
-              let raw = cv fr in
-              stw (check_instr st w' ob ~is_store:true ~size:bytes) raw;
-              next fr)
-        else
-          probe c Profile.op_fused_gep_store_i (fun fr ->
-              let w' = ga fr in
-              let raw = cv fr in
-              stw (Int64.logand w' addr_mask) raw;
-              next fr)
-      | None -> compile_store_int_generic c bytes addr v next)
-    | addr -> compile_store_int_generic c bytes addr v next)
-  | R.Store { cls; bytes; addr; v } -> (
-    match addr with
-    | R.Gep { base = gbase; steps; idx_delta; site = _ } -> (
-      match compile_gep_addr c gbase steps idx_delta with
-      | Some ga ->
-        let cv = compile_expr c v in
-        let stw = stage_store st bytes in
-        let sraw = stage_store_raw st ~instr:c.instr cls in
-        if c.instr then
-          probe c Profile.op_fused_gep_store (fun fr ->
-              let w' = ga fr in
-              let ob = env.gb in
-              let value = cv fr in
-              let ma = check_instr st w' ob ~is_store:true ~size:bytes in
-              stw ma (sraw value);
-              next fr)
-        else
-          probe c Profile.op_fused_gep_store (fun fr ->
-              let w' = ga fr in
-              let value = cv fr in
-              stw (Int64.logand w' addr_mask) (sraw value);
-              next fr)
-      | None -> compile_store_generic c cls bytes addr v next)
-    | addr -> compile_store_generic c cls bytes addr v next)
+  | R.Store { cls = R.Cls_int; bytes; addr; v } ->
+    compile_store_int c bytes addr v next
+  | R.Store { cls; bytes; addr; v } -> compile_store c cls bytes addr v next
   | R.Store_global { g; cls = R.Cls_int; bytes; e } ->
     let ce = compile_expr_i c e in
     let go = st.globals.(g) in

@@ -1,9 +1,8 @@
 (* VM runtime: the execution substrate the production engine runs on.
 
    Everything here is independent of the execution strategy —
-   configuration, the machine state record, cost charging, checked
-   memory access, promote, local object registration, program setup and
-   the machine harness. {!Compile} stages these primitives into closures
+   configuration, the machine state record, cost charging, promote,
+   local object registration, program setup and the machine harness. {!Compile} stages these primitives into closures
    and {!Vm.run} drives the result; {!Vm_ref}, the independent oracle,
    restates the same semantics on its own and is differentially tested
    against it. Both engines build their machine and assemble their
@@ -273,99 +272,6 @@ let layout_ptr_of st tyid =
     p
   end
 
-(* ---- memory access with protection semantics ---------------------- *)
-
-let checked_access st frame ptr bounds ~size ~is_store =
-  if ifp_mode st && frame.instrumented then begin
-    if st.cfg.temporal then Insn.load_store_poison_check_temporal ptr ~is_store
-    else Insn.load_store_poison_check ptr;
-    st.c.implicit_checks <- st.c.implicit_checks + 1;
-    match bounds with
-    | Bounds.No_bounds -> ()
-    | Bounds.Bounds { lo; hi } ->
-      if not (Bounds.contains bounds ~addr:(Tag.addr ptr) ~size) then
-        Trap.raise_trap (Trap.Bounds_violation { ptr; lo; hi; size })
-  end
-
-(* fault-injection hook: [None] in every ordinary run, so the only cost
-   when off is this match *)
-let injected_bounds st w b ~size =
-  match st.inj with
-  | None -> b
-  | Some inj -> Fault.on_access inj ~addr:(Tag.addr w) ~size ~bounds:b
-
-let do_load st frame cls bytes addrv =
-  let w, b = as_ptr addrv in
-  let b = injected_bounds st w b ~size:bytes in
-  checked_access st frame w b ~size:bytes ~is_store:false;
-  let a = Tag.addr w in
-  charge_load st a bytes;
-  match Memory.read_size st.mem a ~bytes with
-  | raw -> (
-    match cls with
-    | R.Cls_ptr -> VP (raw, Bounds.no_bounds)
-    | R.Cls_f64 -> VF (Int64.float_of_bits raw)
-    | R.Cls_int -> VI (sext raw bytes))
-  | exception Memory.Fault (_, fa) -> Trap.raise_trap (Trap.Memory_fault fa)
-
-(* raw bits a value stores as, under a scalar class. For pointer slots
-   the demote path applies: the tagged word goes to memory, the bounds
-   register is dropped, ifpextract refreshes poison bits. *)
-let store_raw st frame cls v =
-  match (cls, v) with
-  | R.Cls_f64, _ -> Int64.bits_of_float (as_float v)
-  | R.Cls_ptr, VP (pw, pb) ->
-    if ifp_mode st && frame.instrumented && pb <> Bounds.No_bounds then begin
-      charge_ifp st Insn.Ifpextract 1;
-      Insn.ifpextract pw ~bounds:pb
-    end
-    else pw
-  | _, v -> as_int v
-
-let do_store st frame cls bytes addrv v =
-  let w, b = as_ptr addrv in
-  let b = injected_bounds st w b ~size:bytes in
-  checked_access st frame w b ~size:bytes ~is_store:true;
-  let a = Tag.addr w in
-  let raw = store_raw st frame cls v in
-  charge_store st a bytes;
-  match Memory.write_size st.mem a ~bytes raw with
-  | () -> ()
-  | exception Memory.Fault (_, fa) -> Trap.raise_trap (Trap.Memory_fault fa)
-
-let do_load_int st frame bytes addrv =
-  let w, b =
-    match addrv with
-    | VP (w, b) -> (w, b)
-    | VI w -> (w, Bounds.no_bounds)
-    | VF _ -> abort "float used as pointer"
-  in
-  let b = injected_bounds st w b ~size:bytes in
-  checked_access st frame w b ~size:bytes ~is_store:false;
-  let a = Tag.addr w in
-  charge_load st a bytes;
-  match Memory.read_size st.mem a ~bytes with
-  | raw -> sext raw bytes
-  | exception Memory.Fault (_, fa) -> Trap.raise_trap (Trap.Memory_fault fa)
-
-(* Integer store with the raw word already computed: what [do_store]
-   does for [Cls_int] (whose raw computation has no observable
-   effects), minus the value round-trip. *)
-let do_store_int st frame bytes addrv raw =
-  let w, b =
-    match addrv with
-    | VP (w, b) -> (w, b)
-    | VI w -> (w, Bounds.no_bounds)
-    | VF _ -> abort "float used as pointer"
-  in
-  let b = injected_bounds st w b ~size:bytes in
-  checked_access st frame w b ~size:bytes ~is_store:true;
-  let a = Tag.addr w in
-  charge_store st a bytes;
-  match Memory.write_size st.mem a ~bytes raw with
-  | () -> ()
-  | exception Memory.Fault (_, fa) -> Trap.raise_trap (Trap.Memory_fault fa)
-
 (* ---- promote -------------------------------------------------------- *)
 
 let eval_promote st v =
@@ -554,39 +460,6 @@ let eval_unop st op a =
   | Ir.F2I ->
     cycles st (Cost.fp - 1);
     VI (Int64.of_float (as_float a))
-
-let gep_finish st frame w b idx_delta ~delta ~dyn ~nb_lo ~nb_hi ~have_nb =
-  if ifp_mode st && frame.instrumented then begin
-    let out_bounds =
-      match b with
-      | Bounds.No_bounds -> Bounds.no_bounds
-      | _ -> if have_nb then Bounds.make ~lo:nb_lo ~hi:nb_hi else b
-    in
-    (* the muls for dynamic indexes stay ordinary ALU work; the final add
-       becomes ifpadd (address + tag update) *)
-    if dyn > 0 then begin
-      st.c.base_instrs <- st.c.base_instrs + dyn;
-      cycles st (dyn * Cost.mul)
-    end;
-    charge_ifp st Insn.Ifpadd 1;
-    let w' = Insn.ifpadd w ~delta ~bounds:out_bounds in
-    let w' =
-      if idx_delta > 0 then begin
-        charge_ifp st Insn.Ifpidx 1;
-        Insn.ifpidx w' idx_delta
-      end
-      else w'
-    in
-    if not (Bounds.equal out_bounds b) then charge_ifp st Insn.Ifpbnd 1;
-    VP (w', out_bounds)
-  end
-  else begin
-    if dyn > 0 then begin
-      st.c.base_instrs <- st.c.base_instrs + (dyn * 2);
-      cycles st (dyn * (Cost.mul + Cost.alu))
-    end;
-    VP (Int64.add w delta, Bounds.no_bounds)
-  end
 
 let do_malloc st frame ~size ~cty ~layout_multi =
   let cty_for_alloc = if ifp_mode st && frame.instrumented then cty else None in

@@ -447,7 +447,11 @@ let rec eval st frame (e : Ir.expr) : value =
     base st 1;
     if truth (eval st frame a) then VI 1L
     else VI (if truth (eval st frame b) then 1L else 0L)
-  | Binop (op, a, b) -> eval_binop st op (eval st frame a) (eval st frame b)
+  | Binop (op, a, b) ->
+    (* right to left, as {!Ir.Binop} states *)
+    let vb = eval st frame b in
+    let va = eval st frame a in
+    eval_binop st op va vb
   | Unop (op, a) -> eval_unop st op (eval st frame a)
   | Load (ty, addr) -> do_load st frame ty (eval st frame addr)
   | Addr_local name -> (

@@ -410,7 +410,8 @@ let test_random_programs () =
 
 (* Both engines arm the injector on the same machine, so a corruption
    must land at the same dynamic instant and play out identically:
-   every fault class, two seeds, on both fault-campaign victims. *)
+   every fault class, two seeds, on both fault-campaign victims and a
+   Juliet case. *)
 let test_armed_faults () =
   let module Fault = Ifp_faultinject.Fault in
   let module Victim = Ifp_faultinject.Victim in
@@ -442,7 +443,75 @@ let test_armed_faults () =
     [
       ("victim", Victim.program ());
       ("temporal-victim", Victim.temporal_program ());
+      (* Juliet's heap intra-object overflow in a loop: every access
+         goes through a two-step gep, &s->data[i] *)
+      ( "juliet-intra",
+        let module J = Ifp_juliet.Juliet in
+        (List.find
+           (fun (c : J.case) ->
+             c.kind = J.Intra_object && c.place = J.Heap && c.flow = J.Loop)
+           (J.all_cases ()))
+          .bad );
     ]
+
+(* The fault campaign measures the code every paper workload runs: an
+   armed run compiles the same fused closures as an unarmed one, and
+   probing it changes nothing. Tag_flip (a promote-site class) and
+   Heap_smash (an access-site class) run far enough to reach both fused
+   gep loads and stores; the other classes may trap first. *)
+let test_armed_profile () =
+  let module Fault = Ifp_faultinject.Fault in
+  let module Victim = Ifp_faultinject.Victim in
+  let prog = Victim.program () in
+  let count p ops =
+    List.fold_left (fun acc k -> acc + p.Profile.counts.(k)) 0 ops
+  in
+  List.iter
+    (fun (cname, config) ->
+      List.iter
+        (fun cls ->
+          let config =
+            { config with Vm.fault_plan = Some (Fault.default_plan cls ~seed:1L) }
+          in
+          let name = Printf.sprintf "%s/%s" cname (Fault.class_name cls) in
+          let p = Profile.create ~clock:(fun () -> 0.0) in
+          let profiled = result_sig (Vm.run ~config ~profile:p prog) in
+          Alcotest.check Alcotest.string (name ^ ": profiled equals unprofiled")
+            (result_sig (Vm.run ~config prog)) profiled;
+          Alcotest.check Alcotest.string (name ^ ": profiled equals vm-ref")
+            (result_sig (Vm_ref.run ~config prog)) profiled;
+          if cls = Fault.Tag_flip || cls = Fault.Heap_smash then begin
+            Alcotest.(check bool) (name ^ ": fused gep loads ran") true
+              (count p Profile.[ op_fused_gep_load; op_fused_gep_load_i ] > 0);
+            Alcotest.(check bool) (name ^ ": fused gep stores ran") true
+              (count p Profile.[ op_fused_gep_store; op_fused_gep_store_i ] > 0)
+          end)
+        Fault.all_classes)
+    [ ("ifp-subheap", Vm.ifp_subheap); ("ifp-wrapped", Vm.ifp_wrapped) ]
+
+(* ---- operand order -------------------------------------------------- *)
+
+(* Ir.Binop evaluates its operands right to left; both engines must,
+   so a printing operand shows the order in the output *)
+let test_operand_order () =
+  let prog =
+    Ifp_compiler.Parser.parse
+      "i64 p(i64 x) { __print_i64(x); return x; }\n\
+       i64 main() { return (p(5) < p(6)); }"
+  in
+  List.iter
+    (fun (ename, erun) ->
+      List.iter
+        (fun (cname, config) ->
+          let r = erun config prog in
+          Alcotest.(check (list string))
+            (Printf.sprintf "%s/%s: right operand first" ename cname)
+            [ "6"; "5" ] r.Vm.output;
+          Alcotest.check Alcotest.string
+            (Printf.sprintf "%s/%s: outcome" ename cname)
+            "finished:1" (outcome_str r.Vm.outcome))
+        [ ("baseline", Vm.baseline); ("ifp-subheap", Vm.ifp_subheap) ])
+    engines
 
 (* ---- dispatch and profiling ----------------------------------------- *)
 
@@ -537,6 +606,10 @@ let tests =
       test_random_programs;
     Alcotest.test_case "engines agree with a fault injector armed" `Quick
       test_armed_faults;
+    Alcotest.test_case "armed runs execute the fused closures" `Quick
+      test_armed_profile;
+    Alcotest.test_case "binary operands evaluate right to left" `Quick
+      test_operand_order;
     Alcotest.test_case "engine dispatch and names" `Quick test_engines_dispatch;
     Alcotest.test_case "closure dispatch profiler" `Quick test_profile;
   ]

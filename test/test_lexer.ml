@@ -35,7 +35,18 @@ let test_line_tracking () =
   ignore (L.next lx);
   ignore (L.next lx);
   ignore (L.next lx);
-  Alcotest.(check int) "line 4 after c" 4 (L.line lx)
+  Alcotest.(check int) "line 4 after c" 4 (L.line lx);
+  (* each token carries its start line: [line] is the lookahead's,
+     [prev_line] the consumed token's, whatever peek2 scanned *)
+  let lx = L.create "a\nb\n\nc" in
+  Alcotest.(check int) "prev_line before next" 1 (L.prev_line lx);
+  ignore (L.next lx);
+  ignore (L.peek2 lx);
+  Alcotest.(check int) "lookahead b on line 2" 2 (L.line lx);
+  Alcotest.(check int) "a on line 1" 1 (L.prev_line lx);
+  ignore (L.next lx);
+  Alcotest.(check int) "b on line 2" 2 (L.prev_line lx);
+  Alcotest.(check int) "lookahead c on line 4" 4 (L.line lx)
 
 let test_peek2 () =
   let lx = L.create "a b c" in

@@ -226,9 +226,11 @@ let test_parse_errors () =
       ( "struct S { i64 }; i64 main() { return 0; }",
         ("parse", "expected identifier, got '}'", 1) );
       ("i64 main() { @ }", ("lex", "unexpected character @", 1));
-      (* the same errors further down a source carry their line *)
-      (* the line is the lexer's, one token past the offending one *)
-      ("i64 main() {\n  return 1 +\n ;\n}", ("parse", "unexpected ';' in expression", 4));
+      (* the same errors further down a source carry the offending
+         token's line *)
+      ("i64 main() {\n  return 1 +\n ;\n}", ("parse", "unexpected ';' in expression", 3));
+      ( "struct S { i64 a; };\nstruct S { i64 b; };\n\ni64 main() { return 0; }",
+        ("parse", "duplicate struct S", 2) );
       ("i64 main() {\n\n  @ }", ("lex", "unexpected character @", 3));
       ( "i64 main() {\n  let x: f64 = 1.0;\n  return x % 2;\n}",
         ("parse", "operator % not defined on f64", 3) );
@@ -343,7 +345,7 @@ let test_front_end_regressions () =
       ( "struct A { A a; };\ni64 main() { return sizeof(A); }",
         ("parse", "struct A contains itself", 1) );
       ( "struct S { i64 a; };\nstruct S { i64 b; };\ni64 main() { return 0; }",
-        ("parse", "duplicate struct S", 3) );
+        ("parse", "duplicate struct S", 2) );
       (* a struct without a layout is reported at its declaration *)
       ( "struct S { i64 a; };\nstruct T { struct Q q; };\ni64 main() { return 0; }",
         ("parse", "unknown struct Q", 2) );
